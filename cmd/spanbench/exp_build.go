@@ -71,7 +71,7 @@ func runEB(quick bool) {
 				}
 			})
 
-			er, err := enum.PrepareRef(a, doc)
+			er, err := enum.PrepareOnce(a, doc)
 			if err != nil {
 				panic(err)
 			}

@@ -2,6 +2,7 @@ package spanjoin
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"time"
 
@@ -277,18 +278,6 @@ func (m *CorpusMatches) Stats() EvalStats {
 // — with each other, with Next, and after exhaustion.
 func (m *CorpusMatches) Close() { m.res.Close() }
 
-// newMatches wraps a result stream, arranging for an abandoned stream —
-// one the caller neither drains nor Closes — to release its worker pool
-// (and admission slot) when the wrapper becomes unreachable. The cleanup
-// attaches to the public wrapper, not the internal Results: the pool's
-// goroutines keep Results reachable, so only the wrapper's reachability
-// tracks the caller's interest.
-func (c *Corpus) newMatches(res *corpus.Results) *CorpusMatches {
-	m := &CorpusMatches{res: res, store: c.store, vars: res.Vars()}
-	runtime.AddCleanup(m, func(r *corpus.Results) { go r.Close() }, res)
-	return m
-}
-
 // evalOptions maps the public per-query options onto the corpus layer's,
 // resolving WithTimeout into an absolute deadline at call time.
 func (c *Corpus) evalOptions(req prefilter.Requirement, o core.Options) corpus.EvalOptions {
@@ -305,27 +294,33 @@ func (c *Corpus) evalOptions(req prefilter.Requirement, o core.Options) corpus.E
 	return eo
 }
 
-// Eval compiles the pattern (through the corpus cache) and evaluates it
-// over every document, streaming matches. The pattern must match whole
-// documents, like Spanner.Eval; use EvalSearch for substring semantics.
-// Options bound the evaluation: WithTimeout, WithLimit, WithBudget.
-func (c *Corpus) Eval(ctx context.Context, pattern string, opts ...Option) (*CorpusMatches, error) {
-	sp, err := c.compileCached(ctx, "anchor", pattern, Compile)
-	if err != nil {
-		return nil, err
-	}
-	return c.EvalSpanner(ctx, sp, opts...)
+// target is one corpus call resolved once: the evaluator every operation
+// runs (the memoized plan, or a per-document evaluator for queries that
+// cannot share one), the output variables, and the literal requirement
+// that prefilters the sweep. A failed resolution travels in err, which
+// the operation returns before starting anything.
+type target struct {
+	corpus.Evaluator
+	vars span.VarList
+	req  prefilter.Requirement
+	err  error
 }
 
-// EvalSearch is Eval with substring semantics: the pattern is compiled
-// unanchored (CompileSearch), cached separately from anchored compiles of
-// the same source.
-func (c *Corpus) EvalSearch(ctx context.Context, pattern string, opts ...Option) (*CorpusMatches, error) {
-	sp, err := c.compileCached(ctx, "search", pattern, CompileSearch)
-	if err != nil {
-		return nil, err
+// compileModes maps a compilation mode — the cache-key namespace and the
+// Cursor.Mode wire value — to its compile function.
+var compileModes = map[string]func(string) (*Spanner, error){
+	"anchor": Compile,
+	"search": CompileSearch,
+}
+
+// compileMode normalises a mode ("" is "anchor") and looks up its compile
+// function; ok is false for an unknown mode.
+func compileMode(mode string) (norm string, compile func(string) (*Spanner, error), ok bool) {
+	if mode == "" {
+		mode = "anchor"
 	}
-	return c.EvalSpanner(ctx, sp, opts...)
+	compile, ok = compileModes[mode]
+	return mode, compile, ok
 }
 
 // compileCached deduplicates compilation through the LRU cache, keyed by
@@ -335,7 +330,11 @@ func (c *Corpus) EvalSearch(ctx context.Context, pattern string, opts ...Option)
 // the flag needs no synchronization) and Items=0 on a hit.
 //
 //spanjoin:stage cache
-func (c *Corpus) compileCached(ctx context.Context, mode, pattern string, compile func(string) (*Spanner, error)) (*Spanner, error) {
+func (c *Corpus) compileCached(ctx context.Context, mode, pattern string) (*Spanner, error) {
+	mode, compile, ok := compileMode(mode)
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown mode %q", ErrBadCursor, mode)
+	}
 	t0 := time.Now()
 	var missed int64
 	v, err := c.cache.Get(mode+"\x00"+pattern, func() (any, error) {
@@ -363,6 +362,84 @@ func (c *Corpus) recordPlanBuild(ctx context.Context, p *enum.Plan, built bool) 
 	obs.FromContext(ctx).Observe(obs.StagePlan, d)
 }
 
+// pattern resolves a pattern compiled through the corpus cache under the
+// given mode.
+func (c *Corpus) pattern(ctx context.Context, mode, pattern string) target {
+	sp, err := c.compileCached(ctx, mode, pattern)
+	if err != nil {
+		return target{err: err}
+	}
+	return c.spanner(ctx, sp)
+}
+
+// spanner resolves a spanner to its memoized plan — one compilation per
+// Spanner however it is driven, and therefore one per cached query.
+func (c *Corpus) spanner(ctx context.Context, sp *Spanner) target {
+	p, built, err := sp.compiledPlan()
+	if err != nil {
+		return target{err: err}
+	}
+	c.recordPlanBuild(ctx, p, built)
+	return target{Evaluator: corpus.Evaluator{Plan: p}, vars: p.Vars(), req: sp.req}
+}
+
+// query resolves a conjunctive query. Queries without string equalities
+// compile once into a single automaton (Theorem 3.11) whose plan is
+// memoized on the Query and shared like a spanner's; queries with
+// equalities — whose automata exist only per input string (Theorem 5.4)
+// — and queries forced onto the canonical strategy evaluate document by
+// document with the chosen plan. The plan-level requirement (conjunction
+// of the atoms' literal requirements) prefilters either way: equalities
+// and projection only restrict results further, so it stays necessary
+// under every strategy.
+func (c *Corpus) query(ctx context.Context, q *Query, opts []Option) target {
+	o := buildOptions(opts)
+	if len(q.cq.Equalities) == 0 && o.Strategy != core.Canonical {
+		p, built, err := q.compiledPlan()
+		if err != nil {
+			return target{err: err}
+		}
+		c.recordPlanBuild(ctx, p, built)
+		return target{Evaluator: corpus.Evaluator{Plan: p}, vars: p.Vars(), req: q.requirement()}
+	}
+	newEval, err := queryDocEval(q, o)
+	return target{Evaluator: corpus.Evaluator{Doc: newEval}, vars: q.cq.OutVars(), req: q.requirement(), err: err}
+}
+
+// stream runs a target's streaming sweep. The returned wrapper arranges
+// for an abandoned stream — one the caller neither drains nor Closes —
+// to release its worker pool (and admission slot) when the wrapper
+// becomes unreachable. The cleanup attaches to the public wrapper, not
+// the internal Results: the pool's goroutines keep Results reachable, so
+// only the wrapper's reachability tracks the caller's interest.
+func (c *Corpus) stream(ctx context.Context, t target, opts []Option) (*CorpusMatches, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
+	res, err := c.store.Eval(ctx, t.Evaluator, c.evalOptions(t.req, buildOptions(opts)))
+	if err != nil {
+		return nil, err
+	}
+	m := &CorpusMatches{res: res, store: c.store, vars: t.vars}
+	runtime.AddCleanup(m, func(r *corpus.Results) { go r.Close() }, res)
+	return m, nil
+}
+
+// Eval compiles the pattern (through the corpus cache) and evaluates it
+// over every document, streaming matches. The pattern must match whole
+// documents, like Spanner.Eval; use EvalSearch for substring semantics.
+// Options bound the evaluation: WithTimeout, WithLimit, WithBudget.
+func (c *Corpus) Eval(ctx context.Context, pattern string, opts ...Option) (*CorpusMatches, error) {
+	return c.stream(ctx, c.pattern(ctx, "anchor", pattern), opts)
+}
+
+// EvalSearch is Eval with substring semantics: the pattern is compiled
+// unanchored (CompileSearch), cached separately from anchored compiles of
+// the same source.
+func (c *Corpus) EvalSearch(ctx context.Context, pattern string, opts ...Option) (*CorpusMatches, error) {
+	return c.stream(ctx, c.pattern(ctx, "search", pattern), opts)
+}
+
 // EvalSpanner evaluates a precompiled spanner over every document in the
 // corpus (bypassing the cache). The spanner's required-literal prefilter
 // skips non-matching documents before any per-document work, and its
@@ -373,16 +450,7 @@ func (c *Corpus) recordPlanBuild(ctx context.Context, p *enum.Plan, built bool) 
 // An overloaded corpus (WithMaxConcurrent) sheds the call synchronously
 // with ErrOverloaded before any worker starts.
 func (c *Corpus) EvalSpanner(ctx context.Context, sp *Spanner, opts ...Option) (*CorpusMatches, error) {
-	p, built, err := sp.compiledPlan()
-	if err != nil {
-		return nil, err
-	}
-	c.recordPlanBuild(ctx, p, built)
-	res, err := c.store.EvalPlan(ctx, p, c.evalOptions(sp.req, buildOptions(opts)))
-	if err != nil {
-		return nil, err
-	}
-	return c.newMatches(res), nil
+	return c.stream(ctx, c.spanner(ctx, sp), opts)
 }
 
 // EvalQuery evaluates a conjunctive query over every document. Queries
@@ -392,91 +460,44 @@ func (c *Corpus) EvalSpanner(ctx context.Context, sp *Spanner, opts ...Option) (
 // queries forced onto the canonical strategy evaluate document by
 // document with the chosen plan.
 func (c *Corpus) EvalQuery(ctx context.Context, q *Query, opts ...Option) (*CorpusMatches, error) {
-	o := buildOptions(opts)
-	// The plan-level requirement (conjunction of the atoms' literal
-	// requirements) prefilters every evaluation path, exactly like
-	// EvalSpanner: equalities and projection only restrict results
-	// further, so the requirement stays necessary under every strategy.
-	req := q.requirement()
-	forcedCanonical := o.Strategy == core.Canonical
-	if len(q.cq.Equalities) == 0 && !forcedCanonical {
-		// Equality-free fast path: the whole plan (join + projection) is
-		// document independent; compile once per Query — automaton,
-		// closures and transition table — and share it across the worker
-		// pool and across repeated EvalQuery calls.
-		p, built, err := q.compiledPlan()
-		if err != nil {
-			return nil, err
-		}
-		c.recordPlanBuild(ctx, p, built)
-		res, err := c.store.EvalPlan(ctx, p, c.evalOptions(req, o))
-		if err != nil {
-			return nil, err
-		}
-		return c.newMatches(res), nil
-	}
-	newEval, err := queryDocEval(q, o)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.store.EvalFunc(ctx, q.cq.OutVars(), newEval, c.evalOptions(req, o))
-	if err != nil {
-		return nil, err
-	}
-	return c.newMatches(res), nil
+	return c.stream(ctx, c.query(ctx, q, opts), opts)
 }
 
 // queryDocEval builds the per-document evaluator for query plans that
 // cannot share a compiled enumerator, hoisting the document-independent
-// atom join when the automata plan applies (Thm 5.4). EvalQuery and
-// CountQuery share it.
+// atom join when the automata plan applies (Thm 5.4).
 // Per-document plans rebuild their iterator per document, so the
 // query-liveness probe (stop) has no long build to interrupt — the emit
 // path already observes cancellation per tuple; they ignore it.
 func queryDocEval(q *Query, o core.Options) (corpus.NewDocEval, error) {
+	enumerate := func(doc string) (core.Iterator, error) { return q.cq.Enumerate(doc, o) }
 	if o.Strategy != core.Canonical && q.cq.Plan(o) == core.Automata {
 		joined, err := q.joinedAtoms()
 		if err != nil {
 			return nil, err
 		}
-		return func(func() bool) corpus.DocEval {
-			return func(doc string, emit func(span.Tuple) bool) error {
-				it, err := q.cq.EnumerateJoined(joined, doc)
-				if err != nil {
-					return err
-				}
-				return emitAll(it, emit)
-			}
-		}, nil
+		enumerate = func(doc string) (core.Iterator, error) { return q.cq.EnumerateJoined(joined, doc) }
 	}
 	return func(func() bool) corpus.DocEval {
 		return func(doc string, emit func(span.Tuple) bool) error {
-			it, err := q.cq.Enumerate(doc, o)
+			it, err := enumerate(doc)
 			if err != nil {
 				return err
 			}
-			return emitAll(it, emit)
+			for {
+				t, ok := it.Next()
+				if !ok || !emit(t) {
+					return nil
+				}
+			}
 		}
 	}, nil
-}
-
-// emitAll drains an iterator into emit, stopping early on cancellation.
-func emitAll(it core.Iterator, emit func(span.Tuple) bool) error {
-	for {
-		t, ok := it.Next()
-		if !ok {
-			return nil
-		}
-		if !emit(t) {
-			return nil
-		}
-	}
 }
 
 // EvalAll is Eval materialized: all matches grouped by document. Documents
 // without matches have no entry.
 func (c *Corpus) EvalAll(ctx context.Context, pattern string, opts ...Option) (map[DocID][]Match, error) {
-	ms, err := c.Eval(ctx, pattern, opts...)
+	ms, err := c.stream(ctx, c.pattern(ctx, "anchor", pattern), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,8 @@ func TestCursorAdvanceSaturates(t *testing.T) {
 // TestEvalCursorMatchesSpannerPage drives pagination through cursor
 // tokens (parse → eval → advance → re-encode, like a client would) and
 // checks every page is identical to addressing the same window directly
-// with EvalSpannerPage.
+// with EvalSpannerPage. A cursor with an empty mode is anchored, and so
+// is every cursor it advances to.
 func TestEvalCursorMatchesSpannerPage(t *testing.T) {
 	c, _ := rankedTestCorpus(t, spanjoin.WithShards(3))
 	const pattern = `.*x{mail}.*`
@@ -76,46 +77,48 @@ func TestEvalCursorMatchesSpannerPage(t *testing.T) {
 	}
 	ctx := context.Background()
 	const limit = 2
-	cur := spanjoin.Cursor{Mode: "anchor", Pattern: pattern}
-	var got []spanjoin.CorpusMatch
-	for pages := 0; ; pages++ {
-		if pages > 100 {
-			t.Fatal("pagination did not terminate")
-		}
-		// Round-trip through the token each page, as a stateless client would.
-		cur, err = spanjoin.ParseCursor(cur.Token())
-		if err != nil {
-			t.Fatal(err)
-		}
-		page, next, more, err := c.EvalCursor(ctx, cur, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := c.EvalSpannerPage(ctx, sp, cur.Offset, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(page.Matches) != len(ref.Matches) {
-			t.Fatalf("page at %d: %d matches, EvalSpannerPage %d", cur.Offset, len(page.Matches), len(ref.Matches))
-		}
-		for i := range page.Matches {
-			if page.Matches[i].Doc != ref.Matches[i].Doc || page.Matches[i].Match.String() != ref.Matches[i].Match.String() {
-				t.Fatalf("page at %d, row %d: %v != %v", cur.Offset, i, page.Matches[i], ref.Matches[i])
+	for _, mode := range []string{"anchor", ""} {
+		cur := spanjoin.Cursor{Mode: mode, Pattern: pattern}
+		var got []spanjoin.CorpusMatch
+		for pages := 0; ; pages++ {
+			if pages > 100 {
+				t.Fatal("pagination did not terminate")
 			}
+			// Round-trip through the token each page, as a stateless client would.
+			cur, err = spanjoin.ParseCursor(cur.Token())
+			if err != nil {
+				t.Fatalf("mode %q: %v", mode, err)
+			}
+			page, next, more, err := c.EvalCursor(ctx, cur, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := c.EvalSpannerPage(ctx, sp, cur.Offset, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(page.Matches) != len(ref.Matches) {
+				t.Fatalf("page at %d: %d matches, EvalSpannerPage %d", cur.Offset, len(page.Matches), len(ref.Matches))
+			}
+			for i := range page.Matches {
+				if page.Matches[i].Doc != ref.Matches[i].Doc || page.Matches[i].Match.String() != ref.Matches[i].Match.String() {
+					t.Fatalf("page at %d, row %d: %v != %v", cur.Offset, i, page.Matches[i], ref.Matches[i])
+				}
+			}
+			got = append(got, page.Matches...)
+			if !more {
+				break
+			}
+			cur = next
 		}
-		got = append(got, page.Matches...)
-		if !more {
-			break
+		// The concatenation of all pages is the whole result sequence.
+		total, err := c.Count(ctx, pattern)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cur = next
-	}
-	// The concatenation of all pages is the whole result sequence.
-	total, err := c.Count(ctx, pattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u, ok := total.Uint64(); !ok || u != uint64(len(got)) {
-		t.Fatalf("paged out %d matches, Count says %v", len(got), total)
+		if u, ok := total.Uint64(); !ok || u != uint64(len(got)) {
+			t.Fatalf("mode %q: paged out %d matches, Count says %v", mode, len(got), total)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package spanjoin_test
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -145,11 +146,12 @@ func FuzzCorpusVsEval(f *testing.F) {
 		// build is the independent witness that the matrix sweep built the
 		// same graphs. One reference enumerator, Reset per document — the
 		// plan compiles once per fuzz input, not once per document.
-		re, err := enum.PrepareRef(rgx.MustCompilePattern(pattern), "")
+		re, err := enum.PrepareOnce(rgx.MustCompilePattern(pattern), "")
 		if err != nil {
 			t.Fatal(err)
 		}
 
+		wants := make([][]span.Tuple, len(docs))
 		for i, doc := range docs {
 			ref, err := sp.Eval(doc)
 			if err != nil {
@@ -159,6 +161,7 @@ func FuzzCorpusVsEval(f *testing.F) {
 			for k, m := range ref {
 				want[k] = tupleOf(m)
 			}
+			wants[i] = want
 			re.Reset(doc)
 			if !oracle.EqualTupleSets(want, re.All()) {
 				t.Fatalf("pattern %q doc %q: compiled-table path disagrees with per-transition reference",
@@ -181,6 +184,69 @@ func FuzzCorpusVsEval(f *testing.F) {
 				if !oracle.EqualTupleSets(want, oracleEval(t, pattern, doc)) {
 					t.Fatalf("pattern %q doc %q: engine disagrees with oracle", pattern, doc)
 				}
+			}
+		}
+
+		// The counting sweep against the same reference, with and without
+		// the skip index: CountAll per document is the per-document Eval
+		// count and Count their sum; EvalPage over the whole sequence is
+		// the per-document lists concatenated in DocID order; and the
+		// counting sweep (traced for Count, reported by the page) visits
+		// or skips every document exactly once.
+		for _, cc := range []struct {
+			c   *spanjoin.Corpus
+			ids []spanjoin.DocID
+		}{{c, ids}, {ci, idsIdx}} {
+			tctx, tr := spanjoin.WithTrace(context.Background())
+			total, err := cc.c.Count(tctx, pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perDoc, err := cc.c.CountAll(context.Background(), pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum uint64
+			order := make([]int, len(docs))
+			for i := range docs {
+				order[i] = i
+				n, _ := perDoc[cc.ids[i]].Uint64()
+				if n != uint64(len(wants[i])) {
+					t.Fatalf("pattern %q doc %q: CountAll %d, per-doc eval %d", pattern, docs[i], n, len(wants[i]))
+				}
+				sum += n
+			}
+			if n, ok := total.Uint64(); !ok || n != sum {
+				t.Fatalf("pattern %q: Count %v, per-document sum %d", pattern, total, sum)
+			}
+			page, err := cc.c.EvalPage(context.Background(), pattern, 0, int(sum))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Slice(order, func(a, b int) bool { return cc.ids[order[a]] < cc.ids[order[b]] })
+			k := 0
+			for _, i := range order {
+				for _, w := range wants[i] {
+					if k >= len(page.Matches) || page.Matches[k].Doc != cc.ids[i] || tupleOf(page.Matches[k].Match).Compare(w) != 0 {
+						t.Fatalf("pattern %q: page row %d differs from doc %q's per-doc eval", pattern, k, docs[i])
+					}
+					k++
+				}
+			}
+			if k != len(page.Matches) {
+				t.Fatalf("pattern %q: page has %d rows, per-doc evals %d", pattern, len(page.Matches), k)
+			}
+			if st := page.Stats; st.Scanned+st.Skipped != uint64(len(docs)) {
+				t.Fatalf("pattern %q: page stats %+v don't cover %d docs", pattern, st, len(docs))
+			}
+			counted := int64(-1)
+			for _, stage := range tr.Spans() {
+				if stage.Stage == spanjoin.StageCount {
+					counted = stage.Items
+				}
+			}
+			if uint64(counted) != page.Stats.Scanned {
+				t.Fatalf("pattern %q: Count scanned %d docs, the page's count %d", pattern, counted, page.Stats.Scanned)
 			}
 		}
 	})

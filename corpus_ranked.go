@@ -14,10 +14,26 @@ import (
 	"strconv"
 	"strings"
 
-	"spanjoin/internal/core"
 	"spanjoin/internal/corpus"
 	"spanjoin/internal/ranked"
 )
+
+// count runs a target's counting sweep; perDoc additionally collects
+// the non-zero per-document counts.
+func (c *Corpus) count(ctx context.Context, t target, opts []Option, perDoc bool) (*corpus.CountResult, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
+	return c.store.Count(ctx, t.Evaluator, c.evalOptions(t.req, buildOptions(opts)), perDoc)
+}
+
+// countTotal is a counting sweep's exact total.
+func countTotal(res *corpus.CountResult, err error) (MatchCount, error) {
+	if err != nil {
+		return MatchCount{}, err
+	}
+	return newMatchCount(res.Total), nil
+}
 
 // Count compiles the pattern (through the corpus cache) and returns the
 // exact number of matches across every document — with no enumeration:
@@ -25,41 +41,25 @@ import (
 // per document, cost independent of its result count), and documents the
 // prefilter or skip index excludes count as 0 without being visited.
 func (c *Corpus) Count(ctx context.Context, pattern string, opts ...Option) (MatchCount, error) {
-	sp, err := c.compileCached(ctx, "anchor", pattern, Compile)
-	if err != nil {
-		return MatchCount{}, err
-	}
-	return c.CountSpanner(ctx, sp, opts...)
+	return countTotal(c.count(ctx, c.pattern(ctx, "anchor", pattern), opts, false))
 }
 
 // CountSearch is Count with substring semantics (CompileSearch).
 func (c *Corpus) CountSearch(ctx context.Context, pattern string, opts ...Option) (MatchCount, error) {
-	sp, err := c.compileCached(ctx, "search", pattern, CompileSearch)
-	if err != nil {
-		return MatchCount{}, err
-	}
-	return c.CountSpanner(ctx, sp, opts...)
+	return countTotal(c.count(ctx, c.pattern(ctx, "search", pattern), opts, false))
 }
 
 // CountSpanner is Count for a precompiled spanner (bypassing the cache).
 // Counts honor WithTimeout and the corpus admission gate (shedding with
 // ErrOverloaded); WithLimit and WithBudget apply to result streams only.
 func (c *Corpus) CountSpanner(ctx context.Context, sp *Spanner, opts ...Option) (MatchCount, error) {
-	res, err := c.countSpanner(ctx, sp, buildOptions(opts), false)
-	if err != nil {
-		return MatchCount{}, err
-	}
-	return newMatchCount(res.Total), nil
+	return countTotal(c.count(ctx, c.spanner(ctx, sp), opts, false))
 }
 
 // CountAll is Count broken down by document: the exact per-document
 // match counts, keyed by DocID. Documents without matches have no entry.
 func (c *Corpus) CountAll(ctx context.Context, pattern string, opts ...Option) (map[DocID]MatchCount, error) {
-	sp, err := c.compileCached(ctx, "anchor", pattern, Compile)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.countSpanner(ctx, sp, buildOptions(opts), true)
+	res, err := c.count(ctx, c.pattern(ctx, "anchor", pattern), opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -70,15 +70,6 @@ func (c *Corpus) CountAll(ctx context.Context, pattern string, opts ...Option) (
 	return out, nil
 }
 
-func (c *Corpus) countSpanner(ctx context.Context, sp *Spanner, o core.Options, perDoc bool) (*corpus.CountResult, error) {
-	p, built, err := sp.compiledPlan()
-	if err != nil {
-		return nil, err
-	}
-	c.recordPlanBuild(ctx, p, built)
-	return c.store.CountPlan(ctx, p, c.evalOptions(sp.req, o), perDoc)
-}
-
 // CountQuery returns the exact corpus-wide result count of a conjunctive
 // query. Equality-free queries not forced onto the canonical plan count
 // through the shared compiled plan and the ranked DP (no enumeration
@@ -86,29 +77,7 @@ func (c *Corpus) countSpanner(ctx context.Context, sp *Spanner, o core.Options, 
 // count by draining each document's per-document evaluation — still
 // parallel and still prefiltered.
 func (c *Corpus) CountQuery(ctx context.Context, q *Query, opts ...Option) (MatchCount, error) {
-	o := buildOptions(opts)
-	eo := c.evalOptions(q.requirement(), o)
-	if len(q.cq.Equalities) == 0 && o.Strategy != core.Canonical {
-		p, built, err := q.compiledPlan()
-		if err != nil {
-			return MatchCount{}, err
-		}
-		c.recordPlanBuild(ctx, p, built)
-		res, err := c.store.CountPlan(ctx, p, eo, false)
-		if err != nil {
-			return MatchCount{}, err
-		}
-		return newMatchCount(res.Total), nil
-	}
-	newEval, err := queryDocEval(q, o)
-	if err != nil {
-		return MatchCount{}, err
-	}
-	res, err := c.store.CountFunc(ctx, newEval, eo, false)
-	if err != nil {
-		return MatchCount{}, err
-	}
-	return newMatchCount(res.Total), nil
+	return countTotal(c.count(ctx, c.query(ctx, q, opts), opts, false))
 }
 
 // Page is one deterministic page of a corpus evaluation: the window
@@ -121,35 +90,13 @@ type Page struct {
 	Stats   EvalStats
 }
 
-// EvalPage compiles the pattern (through the corpus cache) and serves
-// one page of its corpus-wide results. The counting sweep runs through
-// the shard workers in parallel — documents outside the window
-// contribute one ranked count each, a graph build, never an enumeration
-// — and the window itself is entered with a single DAG descent, so page
-// N costs the same as page 0: offset does not buy offset Next calls.
-// The exact Total rides along for pagination UIs.
-func (c *Corpus) EvalPage(ctx context.Context, pattern string, offset uint64, limit int, opts ...Option) (*Page, error) {
-	sp, err := c.compileCached(ctx, "anchor", pattern, Compile)
-	if err != nil {
-		return nil, err
+// page serves one page of a plan-backed target's corpus-wide results.
+// WithTimeout bounds both phases — the counting sweep and the page
+// stream — via a derived context.
+func (c *Corpus) page(ctx context.Context, t target, offset uint64, limit int, opts []Option) (*Page, error) {
+	if t.err != nil {
+		return nil, t.err
 	}
-	return c.EvalSpannerPage(ctx, sp, offset, limit, opts...)
-}
-
-// EvalSearchPage is EvalPage with substring semantics (CompileSearch).
-func (c *Corpus) EvalSearchPage(ctx context.Context, pattern string, offset uint64, limit int, opts ...Option) (*Page, error) {
-	sp, err := c.compileCached(ctx, "search", pattern, CompileSearch)
-	if err != nil {
-		return nil, err
-	}
-	return c.EvalSpannerPage(ctx, sp, offset, limit, opts...)
-}
-
-// EvalSpannerPage is EvalPage for a precompiled spanner. WithTimeout
-// bounds both phases — the counting sweep and the page stream — via a
-// derived context; WithLimit/WithBudget do not apply (the page's window
-// is the limit).
-func (c *Corpus) EvalSpannerPage(ctx context.Context, sp *Spanner, offset uint64, limit int, opts ...Option) (*Page, error) {
 	o := buildOptions(opts)
 	if o.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -157,12 +104,7 @@ func (c *Corpus) EvalSpannerPage(ctx context.Context, sp *Spanner, offset uint64
 		defer cancel()
 		o.Timeout = 0 // the derived context carries the deadline
 	}
-	p, built, err := sp.compiledPlan()
-	if err != nil {
-		return nil, err
-	}
-	c.recordPlanBuild(ctx, p, built)
-	res, err := c.store.PagePlan(ctx, p, c.evalOptions(sp.req, o), offset, limit)
+	res, err := c.store.PagePlan(ctx, t.Plan, c.evalOptions(t.req, o), offset, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -183,44 +125,46 @@ func (c *Corpus) EvalSpannerPage(ctx context.Context, sp *Spanner, offset uint64
 		}
 		page.Matches = append(page.Matches, CorpusMatch{
 			Doc:   r.Doc,
-			Match: Match{vars: p.Vars(), tuple: r.Tuple, doc: lastDoc},
+			Match: Match{vars: t.vars, tuple: r.Tuple, doc: lastDoc},
 		})
 	}
 	return page, nil
 }
 
-// Sample draws k matches i.i.d. uniformly (with replacement) from the
-// corpus-wide result set of the pattern, compiled through the corpus
-// cache. Uniformity is exact at any result-set size, including corpus
-// totals beyond 2^64: one parallel counting sweep weights the documents,
-// then each draw is a weighted document pick plus one ranked DAG descent
-// — no enumeration anywhere. Returns nil when there are no matches.
-func (c *Corpus) Sample(ctx context.Context, pattern string, rng *rand.Rand, k int, opts ...Option) ([]CorpusMatch, error) {
-	sp, err := c.compileCached(ctx, "anchor", pattern, Compile)
-	if err != nil {
-		return nil, err
-	}
-	return c.SampleSpanner(ctx, sp, rng, k, opts...)
+// EvalPage compiles the pattern (through the corpus cache) and serves
+// one page of its corpus-wide results. The counting sweep runs through
+// the shard workers in parallel — documents outside the window
+// contribute one ranked count each, a graph build, never an enumeration
+// — and the window itself is entered with a single DAG descent, so page
+// N costs the same as page 0: offset does not buy offset Next calls.
+// The exact Total rides along for pagination UIs.
+func (c *Corpus) EvalPage(ctx context.Context, pattern string, offset uint64, limit int, opts ...Option) (*Page, error) {
+	return c.page(ctx, c.pattern(ctx, "anchor", pattern), offset, limit, opts)
 }
 
-// SampleSearch is Sample with substring semantics (CompileSearch).
-func (c *Corpus) SampleSearch(ctx context.Context, pattern string, rng *rand.Rand, k int, opts ...Option) ([]CorpusMatch, error) {
-	sp, err := c.compileCached(ctx, "search", pattern, CompileSearch)
-	if err != nil {
-		return nil, err
-	}
-	return c.SampleSpanner(ctx, sp, rng, k, opts...)
+// EvalSearchPage is EvalPage with substring semantics (CompileSearch).
+func (c *Corpus) EvalSearchPage(ctx context.Context, pattern string, offset uint64, limit int, opts ...Option) (*Page, error) {
+	return c.page(ctx, c.pattern(ctx, "search", pattern), offset, limit, opts)
 }
 
-// SampleSpanner is Sample for a precompiled spanner. The counting sweep
-// honors WithTimeout and the admission gate; ranked views built for the
-// draws are cached per document, so k draws cost at most min(k, matched
-// docs) graph builds on top of the sweep.
-func (c *Corpus) SampleSpanner(ctx context.Context, sp *Spanner, rng *rand.Rand, k int, opts ...Option) ([]CorpusMatch, error) {
-	if k <= 0 {
-		return nil, nil
+// EvalSpannerPage is EvalPage for a precompiled spanner. WithTimeout
+// bounds both phases — the counting sweep and the page stream — via a
+// derived context; WithLimit/WithBudget do not apply (the page's window
+// is the limit).
+func (c *Corpus) EvalSpannerPage(ctx context.Context, sp *Spanner, offset uint64, limit int, opts ...Option) (*Page, error) {
+	return c.page(ctx, c.spanner(ctx, sp), offset, limit, opts)
+}
+
+// sample draws k matches uniformly from a plan-backed target's
+// corpus-wide result set: one counting sweep weights the documents, then
+// each draw is a weighted document pick plus one ranked DAG descent.
+// Ranked views built for the draws are cached per document, so k draws
+// cost at most min(k, matched docs) graph builds on top of the sweep.
+func (c *Corpus) sample(ctx context.Context, t target, rng *rand.Rand, k int, opts []Option) ([]CorpusMatch, error) {
+	if t.err != nil || k <= 0 {
+		return nil, t.err
 	}
-	res, err := c.countSpanner(ctx, sp, buildOptions(opts), true)
+	res, err := c.count(ctx, t, opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -252,9 +196,7 @@ func (c *Corpus) SampleSpanner(ctx context.Context, sp *Spanner, rng *rand.Rand,
 			if !ok {
 				return nil, fmt.Errorf("spanjoin: document %d vanished mid-sample", dc.Doc)
 			}
-			if rk, err = sp.Ranked(doc); err != nil {
-				return nil, err
-			}
+			rk = &Ranked{e: t.Plan.Prepare(doc), vars: t.vars, doc: doc}
 			views[dc.Doc] = rk
 		}
 		m, ok := rk.ResultAtBig(within)
@@ -266,6 +208,29 @@ func (c *Corpus) SampleSpanner(ctx context.Context, sp *Spanner, rng *rand.Rand,
 	return out, nil
 }
 
+// Sample draws k matches i.i.d. uniformly (with replacement) from the
+// corpus-wide result set of the pattern, compiled through the corpus
+// cache. Uniformity is exact at any result-set size, including corpus
+// totals beyond 2^64: one parallel counting sweep weights the documents,
+// then each draw is a weighted document pick plus one ranked DAG descent
+// — no enumeration anywhere. Returns nil when there are no matches.
+func (c *Corpus) Sample(ctx context.Context, pattern string, rng *rand.Rand, k int, opts ...Option) ([]CorpusMatch, error) {
+	return c.sample(ctx, c.pattern(ctx, "anchor", pattern), rng, k, opts)
+}
+
+// SampleSearch is Sample with substring semantics (CompileSearch).
+func (c *Corpus) SampleSearch(ctx context.Context, pattern string, rng *rand.Rand, k int, opts ...Option) ([]CorpusMatch, error) {
+	return c.sample(ctx, c.pattern(ctx, "search", pattern), rng, k, opts)
+}
+
+// SampleSpanner is Sample for a precompiled spanner. The counting sweep
+// honors WithTimeout and the admission gate; ranked views built for the
+// draws are cached per document, so k draws cost at most min(k, matched
+// docs) graph builds on top of the sweep.
+func (c *Corpus) SampleSpanner(ctx context.Context, sp *Spanner, rng *rand.Rand, k int, opts ...Option) ([]CorpusMatch, error) {
+	return c.sample(ctx, c.spanner(ctx, sp), rng, k, opts)
+}
+
 // Cursor is a resumable position in a paginated corpus evaluation: the
 // compilation mode ("anchor" or "search"), the pattern, and the rank of
 // the next result to serve. Token/ParseCursor round-trip it through an
@@ -273,7 +238,7 @@ func (c *Corpus) SampleSpanner(ctx context.Context, sp *Spanner, rng *rand.Rand,
 // clients without keeping any per-client state server-side — resuming a
 // cursor is one EvalSpannerPage call, O(1) per page at any depth.
 type Cursor struct {
-	Mode    string // "anchor" (Compile) or "search" (CompileSearch)
+	Mode    string // "anchor" (Compile, also "") or "search" (CompileSearch)
 	Pattern string
 	Offset  uint64
 }
@@ -327,7 +292,7 @@ func ParseCursor(tok string) (Cursor, error) {
 		return Cursor{}, fmt.Errorf("%w: %v", ErrBadCursor, err)
 	}
 	c := Cursor{Mode: p.Mode, Pattern: p.Pattern, Offset: p.Offset}
-	if c.Mode != "anchor" && c.Mode != "search" {
+	if _, _, ok := compileMode(c.Mode); !ok {
 		return Cursor{}, fmt.Errorf("%w: unknown mode %q", ErrBadCursor, p.Mode)
 	}
 	if c.sum() != p.Sum {
@@ -356,14 +321,9 @@ func (c Cursor) Advance(n uint64) Cursor {
 // The pattern compiles through the corpus cache under the cursor's mode,
 // so resumed cursors share the original query's compiled plan.
 func (c *Corpus) EvalCursor(ctx context.Context, cur Cursor, limit int, opts ...Option) (page *Page, next Cursor, more bool, err error) {
-	switch cur.Mode {
-	case "", "anchor":
-		page, err = c.EvalPage(ctx, cur.Pattern, cur.Offset, limit, opts...)
-	case "search":
-		page, err = c.EvalSearchPage(ctx, cur.Pattern, cur.Offset, limit, opts...)
-	default:
-		return nil, cur, false, fmt.Errorf("%w: unknown mode %q", ErrBadCursor, cur.Mode)
-	}
+	// The advanced cursor carries the normalised mode, so its token parses.
+	cur.Mode, _, _ = compileMode(cur.Mode)
+	page, err = c.page(ctx, c.pattern(ctx, cur.Mode, cur.Pattern), cur.Offset, limit, opts)
 	if err != nil {
 		return nil, cur, false, err
 	}

@@ -2,16 +2,13 @@ package corpus
 
 import (
 	"context"
-	"errors"
 	"sort"
-	"sync"
 	"time"
 
 	"spanjoin/internal/enum"
 	"spanjoin/internal/obs"
 	"spanjoin/internal/ranked"
 	"spanjoin/internal/resilience"
-	"spanjoin/internal/span"
 )
 
 // DocCount is one document's exact result count.
@@ -32,188 +29,68 @@ type CountResult struct {
 	Scanned, Skipped, SkippedIndex uint64
 }
 
-// docCounter counts one document's results.
-type docCounter func(doc string) (ranked.Count, error)
-
-// CountPlan counts the plan's results over every document of the
-// snapshot without enumerating any of them: shard workers run the ranked
-// path-count DP per document (one graph build each, cost independent of
-// that document's result count) and aggregate. Documents the prefilter
-// excludes — skip-index non-candidates and literal-scan failures — count
-// as 0 without being visited. perDoc additionally collects the non-zero
-// per-document counts.
-func (s *Store) CountPlan(ctx context.Context, p *enum.Plan, opt EvalOptions, perDoc bool) (res *CountResult, err error) {
-	defer resilience.RecoverTo(&err)
-	return s.countDocs(ctx, func(stop func() bool) docCounter {
-		e := p.NewEnumerator()
-		// A deadline that fires mid-build abandons the sweep (the count
-		// comes up 0, but the whole count errors out anyway).
-		e.SetInterrupt(stop)
-		return func(doc string) (ranked.Count, error) {
-			e.Reset(doc)
-			return e.Rank().Count(), nil
-		}
-	}, opt, perDoc)
-}
-
-// CountFunc is CountPlan for evaluators that cannot share a compiled
-// plan (per-document query plans, string-equality selections): each
-// document's count drains its DocEval — output-proportional per
-// document, but still parallel and still prefiltered.
-func (s *Store) CountFunc(ctx context.Context, newEval NewDocEval, opt EvalOptions, perDoc bool) (res *CountResult, err error) {
-	defer resilience.RecoverTo(&err)
-	return s.countDocs(ctx, func(stop func() bool) docCounter {
-		eval := newEval(stop)
-		return func(doc string) (ranked.Count, error) {
-			var n uint64
-			err := eval(doc, func(span.Tuple) bool { n++; return true })
-			return ranked.CountOf(n), err
-		}
-	}, opt, perDoc)
-}
-
-// countDocs is the shared fan-out: shards are dealt to workers exactly
-// like run(), each worker aggregates locally and merges once at the end,
-// so the only cross-worker synchronization is one mutex acquisition per
-// worker. Like run it reports into a trace carried on ctx: the admission
-// wait and, after the sweep, the count stage with the scanned-document
-// tally.
+// Count counts ev's results over every document of the snapshot. A
+// plan-backed evaluator counts without enumerating anything: shard
+// workers run the ranked path-count DP per document (one graph build
+// each, cost independent of that document's result count) and aggregate;
+// a per-document evaluator drains each document's DocEval —
+// output-proportional per document, but still parallel and still
+// prefiltered. Documents the prefilter excludes — skip-index
+// non-candidates and literal-scan failures — count as 0 without being
+// visited. perDoc additionally collects the non-zero per-document counts.
+// Counts pass the same admission gate as streams; opt's Limit and Budget
+// meter delivered results and do not apply. A trace carried on ctx
+// receives the count stage with the scanned-document tally.
 //
-//spanjoin:stage admission_wait
 //spanjoin:stage count
-func (s *Store) countDocs(ctx context.Context, newCounter func(stop func() bool) docCounter, opt EvalOptions, perDoc bool) (*CountResult, error) {
-	tr := obs.FromContext(ctx)
-	cctx, cancel := opt.evalCtx(ctx)
-	defer cancel()
-	stop := func() bool { return cctx.Err() != nil }
-	if g := s.gate; g != nil {
-		// Counts spin the same worker pools as streams, so they pass the
-		// same admission gate; the queue wait respects the deadline.
-		t0 := time.Now()
-		err := g.Acquire(cctx, 1)
-		tr.Observe(obs.StageAdmission, time.Since(t0))
-		if err != nil {
-			return nil, err
-		}
-		defer g.Release(1)
-	}
-
-	shards := s.planTraced(ctx, opt.Required)
-	res := &CountResult{}
-	idxSkipped, busy := planStats(shards)
-	res.Skipped += idxSkipped
-	res.SkippedIndex += idxSkipped
-	if busy == 0 {
-		return res, ctx.Err()
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	// Materialize every worker's counter before starting any goroutine:
-	// like run()'s evaluators, counter constructors may read shared state
-	// that a running worker would already be mutating; a constructor panic
-	// fails the count, not the process.
-	workers := clampWorkers(opt.workers(), busy)
-	counters := make([]docCounter, workers)
-	if err := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = resilience.NewPanicError(resilience.NoDoc, p)
-			}
-		}()
-		for w := range counters {
-			counters[w] = newCounter(stop)
-		}
-		return nil
-	}(); err != nil {
+func (s *Store) Count(ctx context.Context, ev Evaluator, opt EvalOptions, perDoc bool) (res *CountResult, err error) {
+	defer resilience.RecoverTo(&err)
+	opt.Limit, opt.Budget = 0, 0
+	var sw sweep
+	if err := s.start(ctx, &sw, opt, resilience.FailCountDoc); err != nil {
 		return nil, err
 	}
-
-	shardCh := dealShards(cctx, shards, fail)
+	defer sw.release()
+	defer sw.cancel()
+	// Each worker aggregates into its own part, merged once the pool is
+	// done, so workers share nothing but the sweep's counters.
+	type part struct {
+		total ranked.Count
+		docs  []DocCount
+	}
+	var parts []*part
 	sweepStart := time.Now()
-	for w := 0; w < workers; w++ {
-		counter := counters[w]
-		wg.Add(1)
-		go func() {
-			cur := resilience.NoDoc
-			defer func() {
-				if p := recover(); p != nil {
-					fail(resilience.NewPanicError(cur, p))
-				}
-				wg.Done()
-			}()
-			var (
-				total            ranked.Count
-				docs             []DocCount
-				scanned, skipped uint64
-			)
-			for si := range shardCh {
-				es := &shards[si]
-				n := es.work()
-				for k := 0; k < n; k++ {
-					if cctx.Err() != nil {
-						break
-					}
-					pos := k
-					if es.constrained {
-						pos = int(es.cand[k])
-					}
-					doc := es.docs[pos]
-					if !opt.Required.IsEmpty() && !opt.Required.Match(doc) {
-						skipped++
-						continue
-					}
-					scanned++
-					cur = uint64(s.idOf(uint64(si), uint64(pos)))
-					resilience.Inject(resilience.FailCountDoc, doc)
-					c, err := counter(doc)
-					if err != nil {
-						fail(err)
-						break
-					}
-					cur = resilience.NoDoc
-					if c.IsZero() {
-						continue
-					}
-					total = total.Add(c)
-					if perDoc {
-						docs = append(docs, DocCount{Doc: s.idOf(uint64(si), uint64(pos)), N: c})
-					}
-				}
+	wait, err := sw.run(opt.workers(), func(stop func() bool) docAction {
+		count := ev.docCounter(stop)
+		pt := &part{}
+		parts = append(parts, pt)
+		return func(id DocID, doc string) error {
+			c, err := count(doc)
+			if err != nil || c.IsZero() {
+				return err
 			}
-			mu.Lock()
-			res.Total = res.Total.Add(total)
-			res.PerDoc = append(res.PerDoc, docs...)
-			res.Scanned += scanned
-			res.Skipped += skipped
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	sweep := time.Since(sweepStart)
-	s.met.countDur.Observe(sweep)
-	tr.ObserveItems(obs.StageCount, sweep, int64(res.Scanned))
-	if err := ctx.Err(); err != nil {
+			pt.total = pt.total.Add(c)
+			if perDoc {
+				pt.docs = append(pt.docs, DocCount{Doc: id, N: c})
+			}
+			return nil
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	wait()
+	d := time.Since(sweepStart)
+	s.met.countDur.Observe(d)
+	obs.FromContext(ctx).ObserveItems(obs.StageCount, d, int64(sw.scanned.Load()))
+	sw.settle()
+	if err := sw.Err(); err != nil {
+		return nil, err
 	}
-	if errors.Is(cctx.Err(), context.DeadlineExceeded) {
-		// The per-count deadline (EvalOptions.Deadline) fired.
-		return nil, context.DeadlineExceeded
+	res = &CountResult{Scanned: sw.Scanned(), Skipped: sw.Skipped(), SkippedIndex: sw.SkippedIndex()}
+	for _, pt := range parts {
+		res.Total = res.Total.Add(pt.total)
+		res.PerDoc = append(res.PerDoc, pt.docs...)
 	}
 	sort.Slice(res.PerDoc, func(i, j int) bool { return res.PerDoc[i].Doc < res.PerDoc[j].Doc })
 	return res, nil
@@ -232,7 +109,7 @@ type PageResult struct {
 
 // PagePlan serves offset/limit pagination over the snapshot in ascending
 // DocID order, in two phases: the corpus-wide counting sweep runs through
-// CountPlan's shard workers (parallel, skip-index aware, no enumeration
+// Count's shard workers (parallel, skip-index aware, no enumeration
 // anywhere), then the window — located in the per-document prefix sums —
 // is entered with a single DAG descent and streamed from only the
 // documents it intersects. A page deep in the result sequence therefore
@@ -240,7 +117,7 @@ type PageResult struct {
 // exact total rides along for free.
 func (s *Store) PagePlan(ctx context.Context, p *enum.Plan, opt EvalOptions, offset uint64, limit int) (page *PageResult, err error) {
 	defer resilience.RecoverTo(&err)
-	cnt, err := s.CountPlan(ctx, p, opt, true)
+	cnt, err := s.Count(ctx, Evaluator{Plan: p}, opt, true)
 	if err != nil {
 		return nil, err
 	}

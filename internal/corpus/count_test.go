@@ -29,7 +29,7 @@ func TestCountPlanMatchesDrain(t *testing.T) {
 	docs := []string{"aba", "bb", "", "aaab", "ba", "abab", "a", "baab", "bbba", "aaaa"}
 	for _, workers := range []int{0, 1, 3, 8} {
 		s, ids, p := countStore(t, 4, docs, `(a|b)*x{a+}(a|b)*`)
-		res, err := s.CountPlan(context.Background(), p, EvalOptions{Workers: workers}, true)
+		res, err := s.Count(context.Background(), Evaluator{Plan: p}, EvalOptions{Workers: workers}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestCountPlanSkipsViaIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := prefilter.New("needle")
-	res, err := s.CountPlan(context.Background(), p, EvalOptions{Required: req}, true)
+	res, err := s.Count(context.Background(), Evaluator{Plan: p}, EvalOptions{Required: req}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCountFuncDrains(t *testing.T) {
 			return nil
 		}
 	}
-	res, err := s.CountFunc(context.Background(), newEval, EvalOptions{}, true)
+	res, err := s.Count(context.Background(), Evaluator{Doc: newEval}, EvalOptions{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,8 @@ func TestCountPlanCancellation(t *testing.T) {
 	s, _, p := countStore(t, 4, docs, `a*x{a+}a*`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.CountPlan(ctx, p, EvalOptions{}, false); err == nil {
-		t.Fatal("cancelled CountPlan returned nil error")
+	if _, err := s.Count(ctx, Evaluator{Plan: p}, EvalOptions{}, false); err == nil {
+		t.Fatal("cancelled Count returned nil error")
 	}
 }
 

@@ -13,6 +13,16 @@ import (
 	"spanjoin/internal/vsa"
 )
 
+// planEval compiles a into a plan-backed evaluator.
+func planEval(t *testing.T, a *vsa.VSA) Evaluator {
+	t.Helper()
+	p, err := enum.NewPlan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Evaluator{Plan: p}
+}
+
 func drainResults(t *testing.T, r *Results) map[DocID][]span.Tuple {
 	t.Helper()
 	out := make(map[DocID][]span.Tuple)
@@ -40,7 +50,7 @@ func TestEvalMatchesPerDocumentEnum(t *testing.T) {
 		ids[i] = s.Add(d)
 	}
 	for _, workers := range []int{0, 1, 3, 8} {
-		res, err := s.Eval(context.Background(), a, EvalOptions{Workers: workers})
+		res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +75,7 @@ func TestEvalMatchesPerDocumentEnum(t *testing.T) {
 
 func TestEvalEmptyStore(t *testing.T) {
 	a := rgx.MustCompilePattern(`x{a}`)
-	res, err := NewStore(3).Eval(context.Background(), a, EvalOptions{})
+	res, err := NewStore(3).Eval(context.Background(), planEval(t, a), EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestEvalRequiredLiteralPrefilter(t *testing.T) {
 	s := NewStore(2)
 	hit := s.Add("aaneedlebb")
 	s.Add("abcabc")
-	res, err := s.Eval(context.Background(), a, EvalOptions{Required: prefilter.New("needle")})
+	res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{Required: prefilter.New("needle")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +112,7 @@ func TestEvalCancellation(t *testing.T) {
 		s.Add(big)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	res, err := s.Eval(ctx, a, EvalOptions{Buffer: 1})
+	res, err := s.Eval(ctx, planEval(t, a), EvalOptions{Buffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +146,7 @@ func TestEvalCloseAbandonsStream(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.Add("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa")
 	}
-	res, err := s.Eval(context.Background(), a, EvalOptions{Buffer: 1})
+	res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{Buffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +176,7 @@ func TestEvalFuncErrorAborts(t *testing.T) {
 			return nil
 		}
 	}
-	res, err := s.EvalFunc(context.Background(), span.NewVarList("x"), newEval, EvalOptions{})
+	res, err := s.Eval(context.Background(), Evaluator{Doc: newEval}, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +206,7 @@ func TestEvalSeesSnapshotAtCall(t *testing.T) {
 			s.Add("aaa")
 		}
 	}()
-	res, err := s.Eval(context.Background(), a, EvalOptions{})
+	res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,18 +220,16 @@ func TestEvalSeesSnapshotAtCall(t *testing.T) {
 }
 
 // TestEvalEmptyStoreSkipsPrepare: an empty snapshot must return an
-// exhausted stream without paying enum.Prepare or spawning a worker. The
-// automaton is deliberately non-functional — Prepare would error — so a
-// nil error proves the early return.
+// exhausted stream without constructing an evaluator or spawning a
+// worker: the constructor fails the test if it is ever called.
 func TestEvalEmptyStoreSkipsPrepare(t *testing.T) {
-	bad := vsa.New(span.NewVarList("x"))
-	bad.AddOpen(bad.Init, 0, bad.Final) // x opens, never closes
-	if _, err := enum.Prepare(bad, ""); err == nil {
-		t.Fatal("test automaton unexpectedly functional")
+	newEval := func(func() bool) DocEval {
+		t.Error("empty store constructed a worker evaluator")
+		return nil
 	}
-	res, err := NewStore(3).Eval(context.Background(), bad, EvalOptions{})
+	res, err := NewStore(3).Eval(context.Background(), Evaluator{Doc: newEval}, EvalOptions{})
 	if err != nil {
-		t.Fatalf("empty store must not reach Prepare, got %v", err)
+		t.Fatal(err)
 	}
 	if _, ok := res.Next(); ok {
 		t.Fatal("empty store produced a result")
@@ -254,7 +262,7 @@ func TestEvalIndexedCandidates(t *testing.T) {
 		for i, d := range docs {
 			ids[i] = s.Add(d)
 		}
-		res, err := s.Eval(context.Background(), a, EvalOptions{Required: req})
+		res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{Required: req})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +297,7 @@ func TestEvalIndexBackfill(t *testing.T) {
 	s.EnableIndex()
 	s.EnableIndex() // idempotent
 	s.Add("late signal")
-	res, err := s.Eval(context.Background(), a, EvalOptions{Required: prefilter.New("signal")})
+	res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{Required: prefilter.New("signal")})
 	if err != nil {
 		t.Fatal(err)
 	}

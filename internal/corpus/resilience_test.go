@@ -52,7 +52,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := s.EvalFunc(context.Background(), span.NewVarList("x"), newHealthy, EvalOptions{})
+			res, err := s.Eval(context.Background(), Evaluator{Doc: newHealthy}, EvalOptions{})
 			if err != nil {
 				healthyErrs[i] = err
 				return
@@ -67,7 +67,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 		}()
 	}
 
-	res, err := s.EvalFunc(context.Background(), span.NewVarList("x"), newPoisoned, EvalOptions{})
+	res, err := s.Eval(context.Background(), Evaluator{Doc: newPoisoned}, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestEvalConstructorPanicIsolated(t *testing.T) {
 	s := NewStore(2)
 	s.Add("doc")
 	newEval := func(func() bool) DocEval { panic("constructor exploded") }
-	_, err := s.EvalFunc(context.Background(), span.NewVarList("x"), newEval, EvalOptions{})
+	_, err := s.Eval(context.Background(), Evaluator{Doc: newEval}, EvalOptions{})
 	var pe *resilience.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *resilience.PanicError", err)
@@ -129,7 +129,7 @@ func TestCountPanicIsolated(t *testing.T) {
 			return nil
 		}
 	}
-	_, err := s.CountFunc(context.Background(), newEval, EvalOptions{}, false)
+	_, err := s.Count(context.Background(), Evaluator{Doc: newEval}, EvalOptions{}, false)
 	var pe *resilience.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *resilience.PanicError", err)
@@ -185,7 +185,7 @@ func TestEvalDeadline(t *testing.T) {
 		s.Add("aaaa")
 	}
 	a := rgx.MustCompilePattern(`(a)*x{a+}(a)*`)
-	res, err := s.Eval(context.Background(), a, EvalOptions{Deadline: time.Now().Add(-time.Second)})
+	res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{Deadline: time.Now().Add(-time.Second)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestEvalBudget(t *testing.T) {
 		s.Add("aaaaaaaaaaaaaaaa") // 16 bytes each
 	}
 	a := rgx.MustCompilePattern(`(a)*x{a+}(a)*`)
-	res, err := s.Eval(context.Background(), a, EvalOptions{Workers: 1, Budget: 20})
+	res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{Workers: 1, Budget: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestEvalLimit(t *testing.T) {
 	}
 	a := rgx.MustCompilePattern(`(a|b)*x{a+}(a|b)*`)
 	for _, limit := range []uint64{1, 7, 32} {
-		res, err := s.Eval(context.Background(), a, EvalOptions{Limit: limit})
+		res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{Limit: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestGateShedsAndReleases(t *testing.T) {
 	}
 	a := rgx.MustCompilePattern(`(a)*x{a+}(a)*`)
 
-	res, err := s.Eval(context.Background(), a, EvalOptions{Buffer: 1, Workers: 1})
+	res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{Buffer: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestGateShedsAndReleases(t *testing.T) {
 	}
 	// The first pool is alive (blocked producing into a full buffer): the
 	// slot is held, so the second query sheds synchronously.
-	if _, err := s.Eval(context.Background(), a, EvalOptions{}); !errors.Is(err, resilience.ErrOverloaded) {
+	if _, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{}); !errors.Is(err, resilience.ErrOverloaded) {
 		t.Fatalf("second Eval err = %v, want ErrOverloaded", err)
 	}
 	if st := s.GateStats(); st.Rejected == 0 {
@@ -290,7 +290,7 @@ func TestGateShedsAndReleases(t *testing.T) {
 	}
 	res.Close()
 	// Slot released: admission works again.
-	res2, err := s.Eval(context.Background(), a, EvalOptions{})
+	res2, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{})
 	if err != nil {
 		t.Fatalf("Eval after release: %v", err)
 	}
@@ -306,7 +306,7 @@ func TestResultsCloseConcurrent(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			s.Add("aaaaaa")
 		}
-		res, err := s.Eval(context.Background(), a, EvalOptions{Buffer: 1})
+		res, err := s.Eval(context.Background(), planEval(t, a), EvalOptions{Buffer: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,9 @@
 // Package corpus is the multi-document layer of the engine: an append-only
-// sharded document store with an optional n-gram skip index, a fan-out
-// evaluator that streams (doc, tuple) results from pooled workers each
-// owning a Reset-able enumerator clone, and an LRU compiled-query cache
-// with singleflight compilation.
+// sharded document store with an optional n-gram skip index, one shard
+// sweep behind every operation — streaming (doc, tuple) results, counting
+// and paging from pooled workers each owning a Reset-able enumerator over
+// a shared plan — and an LRU compiled-query cache with singleflight
+// compilation.
 //
 // The paper's polynomial-delay guarantees (Theorem 3.3, Theorem 3.11) are
 // per document; this package supplies the layer above them — many

@@ -136,17 +136,18 @@ func TestResetMatchesFreshPrepare(t *testing.T) {
 	}
 }
 
-// TestCloneMatchesFreshPrepare: a clone shares compiled state but must
-// enumerate independently after its own Reset.
+// TestCloneMatchesFreshPrepare: a second enumerator over a plan shares
+// its compiled state but must enumerate independently after its own Reset.
 func TestCloneMatchesFreshPrepare(t *testing.T) {
 	a := rgx.MustCompilePattern(".*x{a+}.*")
-	base, err := Prepare(a, "aab")
+	p, err := NewPlan(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := base.Clone()
+	base := p.Prepare("aab")
+	c := p.NewEnumerator()
 	if _, ok := c.Next(); ok {
-		t.Fatal("unprepared clone must enumerate nothing")
+		t.Fatal("unprepared enumerator must enumerate nothing")
 	}
 	c.Reset("aba")
 	fresh, err := Prepare(a, "aba")
@@ -154,12 +155,12 @@ func TestCloneMatchesFreshPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !tuplesEqual(c.All(), fresh.All()) {
-		t.Fatal("clone after Reset disagrees with fresh Prepare")
+		t.Fatal("second enumerator after Reset disagrees with fresh Prepare")
 	}
-	// The base enumerator is unaffected by the clone's work.
+	// The base enumerator is unaffected by the other's work.
 	fresh2, _ := Prepare(a, "aab")
 	if !tuplesEqual(base.All(), fresh2.All()) {
-		t.Fatal("clone corrupted its parent")
+		t.Fatal("second enumerator corrupted the first")
 	}
 }
 

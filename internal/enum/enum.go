@@ -27,7 +27,6 @@
 package enum
 
 import (
-	"context"
 	"math"
 	"sort"
 	"sync"
@@ -62,8 +61,8 @@ type GraphNode struct {
 // An Enumerator owns its graph arenas: Reset(s) rebuilds the layered graph
 // for a new document in place, invalidating any in-progress enumeration but
 // reusing all buffers. Enumerators are not safe for concurrent use; use
-// Clone to give each goroutine its own cursor over the shared compiled
-// state.
+// Plan.NewEnumerator to give each goroutine its own cursor over the shared
+// compiled state.
 type Enumerator struct {
 	vars    span.VarList
 	n       int // |s|
@@ -75,7 +74,7 @@ type Enumerator struct {
 	startByLetter [][]int32
 
 	// Document-independent compiled state, shared through the Plan by
-	// Reset, Clone and every corpus worker.
+	// every enumerator over it.
 	auto      *vsa.VSA // trimmed functional automaton
 	cl        *vsa.Closures
 	tt        *vsa.TransitionTable
@@ -83,9 +82,6 @@ type Enumerator struct {
 	letterOf  []int32
 	charAdj   [][]vsa.Tr // character transitions per state
 	emptyLang bool       // the automaton's language is empty for every s
-	// refBuild selects the preserved per-transition graph build instead of
-	// the byte-class matrix sweep (PrepareRef; differential testing only).
-	refBuild bool
 
 	// Persistent graph arenas, resliced and refilled by every build.
 	letterArena   []int32
@@ -102,7 +98,7 @@ type Enumerator struct {
 	// result. It is the deadline/budget escape hatch for huge documents:
 	// the per-tuple paths are already bounded (the corpus emit selects on
 	// the context), but a single build is O(n²·|s|) and would otherwise
-	// run to completion after its query is dead. Not copied by Clone.
+	// run to completion after its query is dead.
 	stop func() bool
 
 	// enumeration state
@@ -270,24 +266,6 @@ func PrepareOnce(a *vsa.VSA, s string) (*Enumerator, error) {
 	return e, nil
 }
 
-// PrepareRef is Prepare on the preserved per-transition reference build:
-// the returned enumerator constructs its layered graphs by walking each
-// frontier state's character transitions and testing byte membership per
-// transition — the pre-table implementation — and keeps doing so across
-// Reset and Clone. It exists for differential testing and the EB benchmark;
-// its output is identical to Prepare's. No transition table is compiled
-// (the reference build never reads one).
-func PrepareRef(a *vsa.VSA, s string) (*Enumerator, error) {
-	p, err := newPlan(a, false)
-	if err != nil {
-		return nil, err
-	}
-	e := p.NewEnumerator()
-	e.refBuild = true
-	e.Reset(s)
-	return e, nil
-}
-
 // Reset rebuilds the enumerator for a new document, reusing every buffer of
 // the previous build. The enumeration restarts from the beginning; tuples
 // handed out earlier remain valid (they are freshly allocated), but Levels
@@ -302,31 +280,6 @@ func (e *Enumerator) Reset(s string) {
 	}
 	e.empty = false
 	e.build(s)
-}
-
-// Clone returns an enumerator sharing e's document-independent compiled
-// state (trimmed automaton, closures, letter and transition tables) with
-// its own build arenas and cursor, for use from another goroutine. The
-// clone has no document prepared: call Reset before Next.
-func (e *Enumerator) Clone() *Enumerator {
-	c := &Enumerator{
-		vars:      e.vars,
-		n:         e.n,
-		empty:     true, // nothing prepared yet
-		emptyLang: e.emptyLang,
-		configs:   e.configs,
-		auto:      e.auto,
-		cl:        e.cl,
-		tt:        e.tt,
-		link:      e.link,
-		letterOf:  e.letterOf,
-		charAdj:   e.charAdj,
-		refBuild:  e.refBuild,
-	}
-	if e.auto != nil {
-		c.mergeRow = bitset.NewRow(e.auto.NumStates())
-	}
-	return c
 }
 
 // SetInterrupt installs an amortized build-interrupt check: f is polled
@@ -356,7 +309,7 @@ func (e *Enumerator) interrupted(i int) bool {
 //
 //spanjoin:hotpath
 func (e *Enumerator) build(s string) {
-	if e.refBuild || e.tt == nil {
+	if e.tt == nil {
 		e.buildTransitions(s)
 		return
 	}
@@ -509,9 +462,10 @@ func (e *Enumerator) appendGroupsFromList(list []int32, sc *prepScratch) ([]int3
 
 // buildTransitions is the preserved per-transition reference build: it
 // walks each frontier state's character adjacency, tests byte membership
-// per transition and ORs in closure rows one hit at a time. PrepareRef
-// selects it; differential tests cross-validate the matrix sweep against
-// it on random automata and documents.
+// per transition and ORs in closure rows one hit at a time. Plans
+// compiled without a table (PrepareOnce) take it; differential tests
+// cross-validate the matrix sweep against it on random automata and
+// documents.
 func (e *Enumerator) buildTransitions(s string) {
 	t, cl := e.auto, e.cl
 	n := t.NumStates()
@@ -993,25 +947,6 @@ func (e *Enumerator) All() []span.Tuple {
 		t, ok := e.Next()
 		if !ok {
 			return out
-		}
-		out = append(out, t)
-	}
-}
-
-// AllCtx drains the enumerator like All but checks ctx every 64 tuples, so
-// huge enumerations are abortable mid-stream. On cancellation it returns
-// the tuples collected so far together with ctx's error.
-func (e *Enumerator) AllCtx(ctx context.Context) ([]span.Tuple, error) {
-	var out []span.Tuple
-	for i := 0; ; i++ {
-		if i&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-		}
-		t, ok := e.Next()
-		if !ok {
-			return out, nil
 		}
 		out = append(out, t)
 	}

@@ -51,7 +51,7 @@ func TestInterruptUnfiredIsInvisible(t *testing.T) {
 		e    func() *Enumerator
 	}{
 		{"matrix", func() *Enumerator { e, _ := Prepare(a, doc); return e }},
-		{"reference", func() *Enumerator { e, _ := PrepareRef(a, doc); return e }},
+		{"reference", func() *Enumerator { e, _ := PrepareOnce(a, doc); return e }},
 	} {
 		e := prep.e()
 		want := e.All()

@@ -126,7 +126,7 @@ func TestPrepareIsReusableAcrossStrings(t *testing.T) {
 }
 
 // TestStreamResetOrderMatchesFreshPrepare: the corpus shard path — one
-// compiled base enumerator, per-worker Clones, Reset per document — must
+// compiled plan, one enumerator per worker, Reset per document — must
 // yield exactly the sequence (tuples and order) of a fresh Prepare on
 // every document, including after the enumerator has cycled through other
 // documents and after mid-stream abandonment.
@@ -151,11 +151,11 @@ func TestStreamResetOrderMatchesFreshPrepare(t *testing.T) {
 				shards[si] = append(shards[si], string(b))
 			}
 		}
-		base, err := enum.Prepare(a, "")
+		plan, err := enum.NewPlan(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers := []*enum.Enumerator{base, base.Clone(), base.Clone()}
+		workers := []*enum.Enumerator{plan.NewEnumerator(), plan.NewEnumerator(), plan.NewEnumerator()}
 		for si, docs := range shards {
 			e := workers[si]
 			for di, doc := range docs {

@@ -71,26 +71,16 @@ func checkBuildVsRef(t *testing.T, a *vsa.VSA, s string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := PrepareRef(a, s)
+	// PrepareOnce compiles no table, so it takes the reference build.
+	r, err := PrepareOnce(a, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.refBuild {
-		t.Fatal("PrepareRef did not select the reference build")
+	if r.tt != nil {
+		t.Fatal("PrepareOnce compiled a transition table")
 	}
 	if err := graphsEqual(m, r); err != nil {
 		t.Fatalf("graph mismatch on %q: %v", s, err)
-	}
-	// PrepareOnce (table-less single-use plan) must agree too.
-	o, err := PrepareOnce(a, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.tt != nil {
-		t.Fatal("PrepareOnce compiled a transition table")
-	}
-	if err := graphsEqual(m, o); err != nil {
-		t.Fatalf("PrepareOnce graph mismatch on %q: %v", s, err)
 	}
 	mn, me := m.GraphSize()
 	rn, re := r.GraphSize()
@@ -143,7 +133,7 @@ func TestMatrixBuildMatchesReferenceOnRandomAutomata(t *testing.T) {
 	}
 }
 
-// TestMatrixResetSharedPlan: enumerators and clones over one plan must
+// TestMatrixResetSharedPlan: several enumerators over one plan must
 // agree with the reference across Reset cycles (the corpus worker shape).
 func TestMatrixResetSharedPlan(t *testing.T) {
 	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
@@ -155,12 +145,12 @@ func TestMatrixResetSharedPlan(t *testing.T) {
 		t.Fatalf("ByteClasses = %d, want ≥ 2", p.ByteClasses())
 	}
 	e := p.NewEnumerator()
-	c := e.Clone()
+	c := p.NewEnumerator()
 	docs := []string{"ab", "", "aabba", "zzz", "ba", strings.Repeat("ab", 20)}
 	for _, doc := range docs {
 		e.Reset(doc)
 		c.Reset(doc)
-		r, err := PrepareRef(a, doc)
+		r, err := PrepareOnce(a, doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +159,7 @@ func TestMatrixResetSharedPlan(t *testing.T) {
 			t.Fatalf("plan enumerator differs from reference on %q", doc)
 		}
 		if !tuplesEqual(c.All(), want) {
-			t.Fatalf("plan clone differs from reference on %q", doc)
+			t.Fatalf("second plan enumerator differs from reference on %q", doc)
 		}
 	}
 }
@@ -188,7 +178,7 @@ func TestMatrixBuildDeadByteFastPath(t *testing.T) {
 		t.Fatal("document with a dead byte must have an empty result")
 	}
 	e.Reset("aa")
-	r, _ := PrepareRef(a, "aa")
+	r, _ := PrepareOnce(a, "aa")
 	if !tuplesEqual(e.All(), r.All()) {
 		t.Fatal("Reset after the dead-byte fast path diverges from the reference")
 	}

@@ -86,7 +86,7 @@ func (e *PanicError) Unwrap() error {
 // panic during setup — planning, snapshotting, index lookup — fails the
 // call, not the process:
 //
-//	func (s *Store) EvalPlan(...) (res *Results, err error) {
+//	func (s *Store) Eval(...) (res *Results, err error) {
 //	    defer resilience.RecoverTo(&err)
 //	    ...
 //	}

@@ -121,7 +121,7 @@ type Spanner struct {
 }
 
 // compiledPlan memoizes enum.NewPlan over the spanner's automaton. Every
-// evaluation path (Iterate, Stream, EvalAllParallel, the corpus fan-out)
+// evaluation path (Iterate, Stream, Ranked, the corpus fan-out)
 // shares it, so trimming, the functionality check, closure computation and
 // the transition-table build happen once per Spanner however the spanner
 // is driven. built reports whether this call ran the compilation — the
@@ -273,7 +273,7 @@ func (s *Spanner) requirement() prefilter.Requirement { return s.req }
 // rebuilds the layered graph into preallocated arenas, so steady-state
 // evaluation allocates almost nothing per document beyond the matches.
 // A Stream is not safe for concurrent use; open one per goroutine (they
-// share nothing mutable with their Spanner) or use EvalAllParallel.
+// share nothing mutable with their Spanner) or use a Corpus.
 type Stream struct {
 	sp *Spanner
 	e  *enum.Enumerator
@@ -372,36 +372,6 @@ func (s *Spanner) EvalAll(docs []string, opts ...Option) ([][]Match, error) {
 		}
 		if o.Limit > 0 && uint64(len(ms)) > o.Limit {
 			ms = ms[:o.Limit:o.Limit]
-		}
-		out[i] = ms
-	}
-	return out, nil
-}
-
-// EvalAllParallel is EvalAll with a pool of workers, each owning one
-// reusable enumerator over the shared compiled automaton. Results keep the
-// order of docs; workers ≤ 0 selects GOMAXPROCS.
-func (s *Spanner) EvalAllParallel(docs []string, workers int) ([][]Match, error) {
-	return s.EvalAllParallelCtx(context.Background(), docs, workers)
-}
-
-// EvalAllParallelCtx is EvalAllParallel with cancellation: workers check
-// ctx between documents and periodically within each enumeration, so the
-// call aborts mid-stream and returns ctx's error.
-func (s *Spanner) EvalAllParallelCtx(ctx context.Context, docs []string, workers int) ([][]Match, error) {
-	p, _, err := s.compiledPlan()
-	if err != nil {
-		return nil, err
-	}
-	vars, tuples, err := enum.EvalAllDocsPlanCtx(ctx, p, docs, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Match, len(docs))
-	for i, ts := range tuples {
-		ms := make([]Match, len(ts))
-		for k, t := range ts {
-			ms[k] = Match{vars: vars, tuple: t, doc: docs[i]}
 		}
 		out[i] = ms
 	}

@@ -60,10 +60,6 @@ func TestEvalAllAgainstEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := sp.EvalAllParallel(docs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, doc := range docs {
 		want, err := sp.Eval(doc)
 		if err != nil {
@@ -72,19 +68,5 @@ func TestEvalAllAgainstEval(t *testing.T) {
 		if fmt.Sprint(matchStrings(seq[i])) != fmt.Sprint(matchStrings(want)) {
 			t.Fatalf("EvalAll doc %q: %v vs %v", doc, seq[i], want)
 		}
-		if fmt.Sprint(matchStrings(par[i])) != fmt.Sprint(matchStrings(want)) {
-			t.Fatalf("EvalAllParallel doc %q: %v vs %v", doc, par[i], want)
-		}
-	}
-}
-
-func TestEvalAllParallelEmptyAndSingle(t *testing.T) {
-	sp := spanjoin.MustCompile(`.*x{a}.*`)
-	if out, err := sp.EvalAllParallel(nil, 4); err != nil || len(out) != 0 {
-		t.Fatalf("empty docs: %v, %v", out, err)
-	}
-	out, err := sp.EvalAllParallel([]string{"xax"}, 8)
-	if err != nil || len(out) != 1 || len(out[0]) != 1 {
-		t.Fatalf("single doc: %v, %v", out, err)
 	}
 }
