@@ -11,6 +11,15 @@
 // without repetition, in the style of Ackerman–Shallit. Distinct tuples
 // correspond to distinct strings over K, so deduplication is inherent.
 //
+// Each Next does work proportional to the part of the word it changes. The
+// enumerator remembers, per level, the largest letter the level can still
+// move to, and keeps a stack of the levels below it, so the level to
+// advance is popped, not searched for. The radix-minimal completion above
+// it stops at the first level whose state set equals the one it held, if
+// no replaced level above could branch: the old suffix is then the only
+// completion of that set, so it is kept. Tuples are decoded only from the
+// advanced level on. The worst-case delay stays Theorem 3.3's O(n²·|s|).
+//
 // State sets are packed bitset rows (internal/bitset), and all per-
 // (state, transition, byte) work happens at compile time: the Plan holds a
 // byte-class compiled transition table (vsa.TransitionTable) whose per-class
@@ -28,6 +37,7 @@ package enum
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,6 +67,9 @@ type GraphNode struct {
 // Enumerator enumerates [[A]](s) with polynomial delay. Create it with
 // Prepare, then call Next until ok is false. Results are emitted in radix
 // order of their configuration strings — a deterministic total order.
+// Consecutive words usually share a long suffix; Next reuses it instead of
+// rebuilding it, so the observed delay tracks the changed part of the word
+// rather than |s|.
 //
 // An Enumerator owns its graph arenas: Reset(s) rebuilds the layered graph
 // for a new document in place, invalidating any in-progress enumeration but
@@ -111,6 +124,19 @@ type Enumerator struct {
 	sets     [][]int32  // sets[i] = node indices at level i consistent with κ_0..κ_i
 	setsBuf  [][]int32  // per-level merge buffers backing multi-source sets
 	mergeRow bitset.Row // scratch for multi-source set merges
+	// maxLetter[i] is the largest letter S_{i-1} can move level i to. It
+	// stays valid while S_{i-1} does, i.e. until a level below i changes.
+	maxLetter []int32
+	// advanceable holds, ascending, the levels whose letter is below
+	// maxLetter; branching the levels that had more than one letter
+	// available when they were set. Every level above the top of
+	// advanceable is at its maximum letter, so the top is the level the
+	// radix-next word increases.
+	advanceable []int32
+	branching   []int32
+	// spans is the decoded tuple of the current word, kept so that decode
+	// only rescans from the lowest level a step changed.
+	spans []span.Span
 }
 
 // prepScratch holds the transient buffers of one graph build: forward and
@@ -587,7 +613,8 @@ func (e *Enumerator) assembleLevels(sc *prepScratch, N int) bool {
 }
 
 // linkStart groups the virtual initial state's fan-out to every level-0
-// node by letter, and sizes the enumeration cursor slices.
+// node by letter, and sizes the enumeration cursor slices — the level
+// stacks included, so that Next never grows them.
 func (e *Enumerator) linkStart(sc *prepScratch, N int) {
 	for _, q := range sc.levelStates(0) {
 		sc.stateIdx[q] = -1
@@ -600,6 +627,10 @@ func (e *Enumerator) linkStart(sc *prepScratch, N int) {
 	e.letters = grow(e.letters, N+1)
 	e.sets = grow(e.sets, N+1)
 	e.setsBuf = growKeep(e.setsBuf, N+1)
+	e.maxLetter = grow(e.maxLetter, N+1)
+	e.advanceable = slices.Grow(e.advanceable[:0], N+1)
+	e.branching = slices.Grow(e.branching[:0], N+1)
+	e.spans = grow(e.spans, len(e.vars))
 }
 
 func (e *Enumerator) markEmpty() {
@@ -760,6 +791,12 @@ func (e *Enumerator) Empty() bool { return e.empty }
 // Next returns the next tuple in radix order. ok is false when the
 // enumeration is exhausted.
 //
+// A step costs time proportional to the part of the word it changes: it
+// advances the highest advanceable level directly, completes the suffix
+// above it only until the new level sets converge with the old ones, and
+// decodes only from the advanced level on. The worst case stays
+// Theorem 3.3's O(n²·|s|) delay.
+//
 //spanjoin:hotpath
 func (e *Enumerator) Next() (t span.Tuple, ok bool) {
 	if e.empty || e.done {
@@ -768,21 +805,30 @@ func (e *Enumerator) Next() (t span.Tuple, ok bool) {
 	if e.pending {
 		// SeekLetters parked the cursor on a not-yet-emitted word.
 		e.pending = false
-		return e.decode(), true
+		return e.decode(0), true
 	}
+	from := 0
 	if !e.started {
 		e.started = true
-		if !e.minString(0) {
-			e.done = true
-			return nil, false
-		}
-		return e.decode(), true
+		e.resetCursor()
+		ok = e.minString(0, -1)
+	} else {
+		from, ok = e.nextString()
 	}
-	if !e.nextString() {
+	if !ok {
 		e.done = true
 		return nil, false
 	}
-	return e.decode(), true
+	return e.decode(from), true
+}
+
+// resetCursor forgets the previous word before one is built from level 0.
+// Its sets may index an earlier document's graph (Reset keeps them), and
+// setLevel compares every new set against the old one.
+func (e *Enumerator) resetCursor() {
+	clear(e.sets)
+	e.advanceable = e.advanceable[:0]
+	e.branching = e.branching[:0]
 }
 
 // searchLetters returns the first index with letters[k] >= letter.
@@ -799,23 +845,28 @@ func searchLetters(letters []int32, letter int32) int {
 	return lo
 }
 
-// minLetterInto returns the minimal letter available into level l given
-// S_{l-1} (or the virtual start when l == 0); ok is false if none.
-func (e *Enumerator) minLetterInto(l int) (int32, bool) {
+// letterRange returns the smallest and largest letter available into
+// level l given S_{l-1} (or the virtual start when l == 0); ok is false if
+// none.
+func (e *Enumerator) letterRange(l int) (lo, hi int32, ok bool) {
 	if l == 0 {
 		if len(e.startLetters) == 0 {
-			return -1, false
+			return -1, -1, false
 		}
-		return e.startLetters[0], true
+		return e.startLetters[0], e.startLetters[len(e.startLetters)-1], true
 	}
-	best := int32(-1)
+	lo, hi = -1, -1
 	for _, u := range e.sets[l-1] {
 		ls := e.levels[l-1][u].TargetLetters
-		if len(ls) > 0 && (best < 0 || ls[0] < best) {
-			best = ls[0]
+		if len(ls) == 0 {
+			continue
 		}
+		if lo < 0 || ls[0] < lo {
+			lo = ls[0]
+		}
+		hi = max(hi, ls[len(ls)-1])
 	}
-	return best, best >= 0
+	return lo, hi, lo >= 0
 }
 
 // nextLetterInto returns the minimal available letter strictly greater than
@@ -839,20 +890,22 @@ func (e *Enumerator) nextLetterInto(l int, after int32) (int32, bool) {
 	return best, best >= 0
 }
 
-// setLevel fixes κ_l := letter and recomputes S_l from S_{l-1}. A single
-// contributing target list is aliased directly; multi-source unions go
-// through the merge bitset row and the level's reusable buffer, so steady-
-// state enumeration does not allocate.
-func (e *Enumerator) setLevel(l int, letter int32) {
+// setLevel fixes κ_l := letter and recomputes S_l from S_{l-1}, reporting
+// whether S_l equals the set the level held before. A single contributing
+// target list is aliased directly; multi-source unions go through the
+// merge bitset row and the level's reusable buffer, so steady-state
+// enumeration does not allocate.
+func (e *Enumerator) setLevel(l int, letter int32) (same bool) {
 	e.letters[l] = letter
+	old := e.sets[l]
 	if l == 0 {
+		var set []int32
 		k := searchLetters(e.startLetters, letter)
 		if k < len(e.startLetters) && e.startLetters[k] == letter {
-			e.sets[0] = e.startByLetter[k]
-		} else {
-			e.sets[0] = nil
+			set = e.startByLetter[k]
 		}
-		return
+		e.sets[0] = set
+		return sameList(set, old)
 	}
 	var single []int32
 	merged := false
@@ -880,64 +933,139 @@ func (e *Enumerator) setLevel(l int, letter int32) {
 	}
 	if !merged {
 		e.sets[l] = single
-		return
+		return sameList(single, old)
+	}
+	// old may alias setsBuf[l]: test it against the merge before the
+	// buffer is overwritten, and compare only its length afterwards.
+	same = true
+	for _, v := range old {
+		if !e.mergeRow.Test(v) {
+			same = false
+			break
+		}
 	}
 	buf := e.mergeRow.AppendOnes(e.setsBuf[l][:0])
 	e.setsBuf[l] = buf
 	e.sets[l] = buf
+	return same && len(buf) == len(old)
 }
 
-// minString completes the word with the radix-minimal suffix from level l on.
-// Every graph node reaches (N, qf) (backward pruning), so it always succeeds
-// when S_{l-1} is non-empty.
-func (e *Enumerator) minString(l int) bool {
-	for i := l; i <= e.n; i++ {
-		letter, ok := e.minLetterInto(i)
-		if !ok {
+// sameList reports whether two ascending node lists are equal; aliases of
+// one target list compare in O(1).
+func sameList(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
-		e.setLevel(i, letter)
 	}
 	return true
 }
 
-// nextString advances to the radix-next word: it finds the rightmost
-// position whose letter can be increased, increases it minimally, and
-// completes with minString.
-func (e *Enumerator) nextString() bool {
-	for i := e.n; i >= 0; i-- {
-		letter, ok := e.nextLetterInto(i, e.letters[i])
+// noteLevel records the bookkeeping of level l, just set to letter out of
+// the available range [lo, hi].
+func (e *Enumerator) noteLevel(l int, letter, lo, hi int32) {
+	e.maxLetter[l] = hi
+	if letter < hi {
+		e.advanceable = append(e.advanceable, int32(l))
+	}
+	if lo < hi {
+		e.branching = append(e.branching, int32(l))
+	}
+}
+
+// minString completes the word with the radix-minimal suffix from level l
+// on. oldTop is the highest branching level above l-1 of the word being
+// replaced, or -1. Once a level's new set equals the one it held and no
+// replaced level above it branched, the replaced suffix is the only
+// completion of that set, hence the minimal one, and is kept with its
+// letters, sets and max letters. Every graph node reaches (N, qf)
+// (backward pruning), so it always succeeds when S_{l-1} is non-empty.
+func (e *Enumerator) minString(l int, oldTop int32) bool {
+	for i := l; i <= e.n; i++ {
+		lo, hi, ok := e.letterRange(i)
 		if !ok {
-			continue
+			return false
 		}
-		e.setLevel(i, letter)
-		if e.minString(i + 1) {
+		same := e.setLevel(i, lo)
+		e.noteLevel(i, lo, lo, hi)
+		if same && int32(i) >= oldTop {
 			return true
 		}
 	}
-	return false
+	return true
+}
+
+// nextString advances to the radix-next word: it increases the highest
+// advanceable level minimally and completes with minString. It returns the
+// advanced level, the lowest one the step changed.
+func (e *Enumerator) nextString() (int, bool) {
+	top := len(e.advanceable) - 1
+	if top < 0 {
+		return 0, false
+	}
+	i := int(e.advanceable[top])
+	e.advanceable = e.advanceable[:top]
+	// letters[i] < maxLetter[i], so a greater letter exists.
+	letter, _ := e.nextLetterInto(i, e.letters[i])
+	e.setLevel(i, letter)
+	if letter < e.maxLetter[i] {
+		e.advanceable = append(e.advanceable, int32(i))
+	}
+	// Every level above i is replaced. None of them is advanceable (i was
+	// the top); the highest one that branched bounds the suffix reuse.
+	oldTop := int32(-1)
+	b := len(e.branching)
+	for b > 0 && e.branching[b-1] > int32(i) {
+		b--
+	}
+	if b < len(e.branching) {
+		oldTop = e.branching[len(e.branching)-1]
+	}
+	e.branching = e.branching[:b]
+	return i, e.minString(i+1, oldTop)
 }
 
 // decode converts the current configuration word κ_0..κ_N into a tuple:
 // µ(x) = [i+1, j+1⟩ with i minimal such that κ_i(x) ≠ w and j minimal such
-// that κ_j(x) = c.
-func (e *Enumerator) decode() span.Tuple {
-	t := make(span.Tuple, len(e.vars))
-	for vi := range e.vars {
-		start, end := -1, -1
-		for i := 0; i <= e.n; i++ {
-			st := e.configs[e.letters[i]][vi]
-			if start < 0 && st != vsa.W {
-				start = i + 1
-			}
-			if end < 0 && st == vsa.C {
-				end = i + 1
-				break
-			}
+// that κ_j(x) = c. Levels below from are unchanged since the previous
+// decode, so a variable keeps its start and end where they lie below from
+// and is rescanned from there otherwise.
+func (e *Enumerator) decode(from int) span.Tuple {
+	for vi, sp := range e.spans {
+		if sp.End > 0 && sp.End <= from {
+			continue
 		}
-		t[vi] = span.Span{Start: start, End: end}
+		sp.End = -1
+		if sp.Start <= 0 || sp.Start > from {
+			sp.Start = -1
+		}
+		e.spans[vi] = e.scanSpan(e.letters, from, vi, sp)
 	}
+	t := make(span.Tuple, len(e.spans))
+	copy(t, e.spans)
 	return t
+}
+
+// scanSpan completes the span sp of variable vi by scanning the word
+// letters from level from on: a Start or End of -1 is set to i+1 for the
+// first level i with κ_i(x) ≠ w or κ_i(x) = c, respectively.
+func (e *Enumerator) scanSpan(letters []int32, from, vi int, sp span.Span) span.Span {
+	for i := from; i < len(letters) && sp.End < 0; i++ {
+		st := e.configs[letters[i]][vi]
+		if sp.Start < 0 && st != vsa.W {
+			sp.Start = i + 1
+		}
+		if st == vsa.C {
+			sp.End = i + 1
+		}
+	}
+	return sp
 }
 
 // All drains the enumerator and returns every tuple.
@@ -1009,18 +1137,22 @@ func (g graphView) Edges(level, idx int) ([]int32, [][]int32) {
 // continues in radix order from there — the O(1)-descent half of
 // offset/limit pagination. The word must be one the layered graph accepts
 // (WordAt/SampleWord of the enumerator's Rank produce such words);
-// SeekLetters reports false, leaving the cursor unspecified, otherwise.
+// SeekLetters reports false, leaving the cursor exhausted, otherwise.
 func (e *Enumerator) SeekLetters(w []int32) bool {
+	e.started, e.done, e.pending = true, true, false
 	if e.empty || len(w) != e.n+1 {
 		return false
 	}
+	e.resetCursor()
 	for l, letter := range w {
+		lo, hi, _ := e.letterRange(l)
 		e.setLevel(l, letter)
 		if len(e.sets[l]) == 0 {
 			return false
 		}
+		e.noteLevel(l, letter, lo, hi)
 	}
-	e.started, e.done, e.pending = true, false, true
+	e.done, e.pending = false, true
 	return true
 }
 
@@ -1098,19 +1230,8 @@ func (e *Enumerator) AsNFA() *nfa.NFA {
 // the corresponding tuple, as decode does for the enumerator's own state.
 func (e *Enumerator) DecodeLetters(letters []int32) span.Tuple {
 	t := make(span.Tuple, len(e.vars))
-	for vi := range e.vars {
-		start, end := -1, -1
-		for i := 0; i < len(letters); i++ {
-			st := e.configs[letters[i]][vi]
-			if start < 0 && st != vsa.W {
-				start = i + 1
-			}
-			if end < 0 && st == vsa.C {
-				end = i + 1
-				break
-			}
-		}
-		t[vi] = span.Span{Start: start, End: end}
+	for vi := range t {
+		t[vi] = e.scanSpan(letters, 0, vi, span.Span{Start: -1, End: -1})
 	}
 	return t
 }

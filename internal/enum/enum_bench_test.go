@@ -1,6 +1,7 @@
 package enum_test
 
 import (
+	"fmt"
 	"testing"
 
 	"spanjoin/internal/enum"
@@ -25,20 +26,27 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
+// BenchmarkNextTuple measures the per-tuple delay at two document sizes:
+// it should not grow with |s|, since each step only touches the levels it
+// changes.
 func BenchmarkNextTuple(b *testing.B) {
 	a := rgx.MustCompilePattern(".*x{a+}.*y{b+}.*")
-	s := workload.RandomString(workload.Rand(1), 512, 2)
-	e, err := enum.Prepare(a, s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := e.Next(); !ok {
-			b.StopTimer()
-			e, _ = enum.Prepare(a, s)
-			b.StartTimer()
-		}
+	for _, n := range []int{512, 4096} {
+		b.Run(fmt.Sprintf("s=%d", n), func(b *testing.B) {
+			s := workload.RandomString(workload.Rand(1), n, 2)
+			e, err := enum.Prepare(a, s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := e.Next(); !ok {
+					b.StopTimer()
+					e.Reset(s)
+					b.StartTimer()
+				}
+			}
+		})
 	}
 }
 
