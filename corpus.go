@@ -296,11 +296,14 @@ func (c *Corpus) evalOptions(req prefilter.Requirement, o core.Options) corpus.E
 
 // target is one corpus call resolved once: the evaluator every operation
 // runs (the memoized plan, or a per-document evaluator for queries that
-// cannot share one), the output variables, and the literal requirement
-// that prefilters the sweep. A failed resolution travels in err, which
-// the operation returns before starting anything.
+// cannot share one), the spanner behind a plan (nil for per-document
+// queries; samples open their ranked views on it), the output variables,
+// and the literal requirement that prefilters the sweep. A failed
+// resolution travels in err, which the operation returns before starting
+// anything.
 type target struct {
 	corpus.Evaluator
+	sp   *Spanner
 	vars span.VarList
 	req  prefilter.Requirement
 	err  error
@@ -380,27 +383,25 @@ func (c *Corpus) spanner(ctx context.Context, sp *Spanner) target {
 		return target{err: err}
 	}
 	c.recordPlanBuild(ctx, p, built)
-	return target{Evaluator: corpus.Evaluator{Plan: p}, vars: p.Vars(), req: sp.req}
+	return target{Evaluator: corpus.Evaluator{Plan: p}, sp: sp, vars: p.Vars(), req: sp.req}
 }
 
-// query resolves a conjunctive query. Queries without string equalities
-// compile once into a single automaton (Theorem 3.11) whose plan is
-// memoized on the Query and shared like a spanner's; queries with
-// equalities — whose automata exist only per input string (Theorem 5.4)
-// — and queries forced onto the canonical strategy evaluate document by
-// document with the chosen plan. The plan-level requirement (conjunction
-// of the atoms' literal requirements) prefilters either way: equalities
-// and projection only restrict results further, so it stays necessary
-// under every strategy.
+// query resolves a conjunctive query. Queries that share a plan
+// (Query.sharesPlan: no string equalities, not forced canonical) compile
+// once into a spanner (Theorem 3.11) memoized on the Query and resolve
+// like any spanner; the rest — equality automata exist only per input
+// string (Theorem 5.4) — evaluate document by document with the chosen
+// plan. The plan-level requirement (conjunction of the atoms' literal
+// requirements) prefilters either way: equalities and projection only
+// restrict results further, so it stays necessary under every strategy.
 func (c *Corpus) query(ctx context.Context, q *Query, opts []Option) target {
 	o := buildOptions(opts)
-	if len(q.cq.Equalities) == 0 && o.Strategy != core.Canonical {
-		p, built, err := q.compiledPlan()
+	if q.sharesPlan(o) {
+		sp, err := q.spanner()
 		if err != nil {
 			return target{err: err}
 		}
-		c.recordPlanBuild(ctx, p, built)
-		return target{Evaluator: corpus.Evaluator{Plan: p}, vars: p.Vars(), req: q.requirement()}
+		return c.spanner(ctx, sp)
 	}
 	newEval, err := queryDocEval(q, o)
 	return target{Evaluator: corpus.Evaluator{Doc: newEval}, vars: q.cq.OutVars(), req: q.requirement(), err: err}
@@ -464,19 +465,14 @@ func (c *Corpus) EvalQuery(ctx context.Context, q *Query, opts ...Option) (*Corp
 }
 
 // queryDocEval builds the per-document evaluator for query plans that
-// cannot share a compiled enumerator, hoisting the document-independent
-// atom join when the automata plan applies (Thm 5.4).
+// cannot share a compiled enumerator (Query.docEnumerate).
 // Per-document plans rebuild their iterator per document, so the
 // query-liveness probe (stop) has no long build to interrupt — the emit
 // path already observes cancellation per tuple; they ignore it.
 func queryDocEval(q *Query, o core.Options) (corpus.NewDocEval, error) {
-	enumerate := func(doc string) (core.Iterator, error) { return q.cq.Enumerate(doc, o) }
-	if o.Strategy != core.Canonical && q.cq.Plan(o) == core.Automata {
-		joined, err := q.joinedAtoms()
-		if err != nil {
-			return nil, err
-		}
-		enumerate = func(doc string) (core.Iterator, error) { return q.cq.EnumerateJoined(joined, doc) }
+	enumerate, err := q.docEnumerate(o)
+	if err != nil {
+		return nil, err
 	}
 	return func(func() bool) corpus.DocEval {
 		return func(doc string, emit func(span.Tuple) bool) error {

@@ -151,6 +151,17 @@ func FuzzCorpusVsEval(f *testing.F) {
 			t.Fatal(err)
 		}
 
+		// Every other single-document entry must reproduce the Spanner.Eval
+		// reference, in order: a Stream reused across the documents, an
+		// IterateCtx drain, a full ranked page, Spanner.Count, and a
+		// one-atom Query over the same spanner — evaluated on the automata
+		// plan, since the canonical plan returns its relation sorted, a
+		// different order.
+		stream := sp.NewStream()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		q := spanjoin.NewQuery().AtomSpanner("atom", sp).MustBuild()
+
 		wants := make([][]span.Tuple, len(docs))
 		for i, doc := range docs {
 			ref, err := sp.Eval(doc)
@@ -162,6 +173,57 @@ func FuzzCorpusVsEval(f *testing.F) {
 				want[k] = tupleOf(m)
 			}
 			wants[i] = want
+			sameInOrder := func(entry string, ms []spanjoin.Match) {
+				t.Helper()
+				if len(ms) != len(want) {
+					t.Fatalf("pattern %q doc %q: %s has %d matches, Eval %d", pattern, doc, entry, len(ms), len(want))
+				}
+				for k := range want {
+					if tupleOf(ms[k]).Compare(want[k]) != 0 {
+						t.Fatalf("pattern %q doc %q: %s differs from Eval at %d", pattern, doc, entry, k)
+					}
+				}
+			}
+			sameCount := func(entry string, n spanjoin.MatchCount, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if u, ok := n.Uint64(); !ok || u != uint64(len(want)) {
+					t.Fatalf("pattern %q doc %q: %s %v, Eval %d", pattern, doc, entry, n, len(want))
+				}
+			}
+			streamed, err := stream.Eval(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameInOrder("Stream.Eval", streamed)
+			it, err := sp.IterateCtx(ctx, doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var drained []spanjoin.Match
+			for m, ok := it.Next(); ok; m, ok = it.Next() {
+				drained = append(drained, m)
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			sameInOrder("IterateCtx", drained)
+			r, err := sp.Ranked(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameInOrder("Ranked.Page", r.Page(0, len(want)))
+			n, err := sp.Count(doc)
+			sameCount("Spanner.Count", n, err)
+			evaluated, err := q.Evaluate(doc, spanjoin.WithStrategy(spanjoin.StrategyAutomata))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameInOrder("Query.Evaluate", evaluated)
+			n, err = q.Count(doc)
+			sameCount("Query.Count", n, err)
 			re.Reset(doc)
 			if !oracle.EqualTupleSets(want, re.All()) {
 				t.Fatalf("pattern %q doc %q: compiled-table path disagrees with per-transition reference",

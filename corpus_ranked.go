@@ -98,12 +98,9 @@ func (c *Corpus) page(ctx context.Context, t target, offset uint64, limit int, o
 		return nil, t.err
 	}
 	o := buildOptions(opts)
-	if o.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		defer cancel()
-		o.Timeout = 0 // the derived context carries the deadline
-	}
+	ctx, cancel := withTimeout(ctx, o)
+	defer cancel()
+	o.Timeout = 0 // the derived context carries the deadline
 	res, err := c.store.PagePlan(ctx, t.Plan, c.evalOptions(t.req, o), offset, limit)
 	if err != nil {
 		return nil, err
@@ -196,7 +193,9 @@ func (c *Corpus) sample(ctx context.Context, t target, rng *rand.Rand, k int, op
 			if !ok {
 				return nil, fmt.Errorf("spanjoin: document %d vanished mid-sample", dc.Doc)
 			}
-			rk = &Ranked{e: t.Plan.Prepare(doc), vars: t.vars, doc: doc}
+			if rk, err = t.sp.rankedCtx(ctx, doc); err != nil {
+				return nil, err
+			}
 			views[dc.Doc] = rk
 		}
 		m, ok := rk.ResultAtBig(within)

@@ -1,6 +1,7 @@
 package spanjoin
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -79,31 +80,28 @@ func (b *QueryBuilder) EqualAll(vars ...string) *QueryBuilder {
 }
 
 // Count returns the exact number of results of the query on doc.
-// Equality-free queries not forced onto the canonical plan count through
-// the ranked DP over the compiled automaton — no enumeration, cost
-// independent of the result count; queries with string equalities (whose
-// automata exist per document, Thm 5.4) and forced-canonical plans drain
-// the iterator.
+// Queries that share a plan (no string equalities, not forced canonical)
+// count as their compiled spanner does — the ranked DP, no enumeration,
+// cost independent of the result count; the rest (equality automata
+// exist per document, Thm 5.4) drain the iterator. WithTimeout bounds
+// either, as it does Spanner.Count.
 func (q *Query) Count(doc string, opts ...Option) (MatchCount, error) {
 	o := buildOptions(opts)
-	if len(q.cq.Equalities) == 0 && o.Strategy != StrategyCanonical {
-		p, _, err := q.compiledPlan()
+	if q.sharesPlan(o) {
+		sp, err := q.spanner()
 		if err != nil {
 			return MatchCount{}, err
 		}
-		return newMatchCount(p.Prepare(doc).Rank().Count()), nil
+		return sp.Count(doc, opts...)
 	}
-	ms, err := q.Iterate(doc, opts...)
+	ctx, cancel := withTimeout(context.Background(), o)
+	defer cancel()
+	ms, err := q.iterate(ctx, doc, o)
 	if err != nil {
 		return MatchCount{}, err
 	}
-	var n uint64
-	for {
-		if _, ok := ms.Next(); !ok {
-			return MatchCount{u: n}, nil
-		}
-		n++
-	}
+	_, n, err := collect(ms, 0, false)
+	return MatchCount{u: n}, err
 }
 
 // Difference returns the matches of a on doc that are not matches of b

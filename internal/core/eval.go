@@ -47,12 +47,14 @@ type Options struct {
 	// (|[[α]](s)| ≤ (N+1)^(2v)). Default 1.
 	PolyBoundVarLimit int
 
-	// Timeout, Limit and Budget are the resilience knobs of corpus
-	// evaluations (ignored by single-document Iterate/Evaluate, whose
-	// callers hold the iterator and can cancel via IterateCtx):
-	// Timeout bounds the whole evaluation wall-clock, Limit caps delivered
-	// results, Budget caps work units (document bytes scanned + results
-	// delivered). Zero values mean unbounded.
+	// Timeout, Limit and Budget are the resilience knobs. Timeout bounds
+	// the whole evaluation wall-clock and Limit caps delivered results,
+	// for corpus evaluations and for every single-document entry point
+	// that drains internally (Eval, Evaluate, Exists; Count honours
+	// Timeout only) — Iterate's callers hold the iterator and bound it
+	// themselves, via IterateCtx. Budget caps a corpus evaluation's work
+	// units (document bytes scanned + results delivered). Zero values
+	// mean unbounded.
 	Timeout time.Duration
 	Limit   uint64
 	Budget  uint64
@@ -73,11 +75,7 @@ func (q *CQ) Compile() (*vsa.VSA, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	autos := make([]*vsa.VSA, len(q.Atoms))
-	for i, a := range q.Atoms {
-		autos[i] = a.Auto
-	}
-	joined, err := vsa.JoinAll(autos...)
+	joined, err := q.JoinAtoms()
 	if err != nil {
 		return nil, err
 	}
@@ -96,21 +94,19 @@ func (q *CQ) Enumerate(s string, opts Options) (Iterator, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	strat := opts.Strategy
-	if strat == Auto {
-		strat = q.pick(opts)
-	}
-	switch strat {
-	case Canonical:
+	if q.Plan(opts) == Canonical {
 		r, err := q.evalCanonical(s, opts)
 		if err != nil {
 			return nil, err
 		}
 		r.Sort()
 		return &sliceIter{vars: r.Vars, tuples: r.Tuples}, nil
-	default:
-		return q.enumAutomata(s)
 	}
+	joined, err := q.JoinAtoms()
+	if err != nil {
+		return nil, err
+	}
+	return q.EnumerateJoined(joined, s)
 }
 
 // Eval evaluates the CQ and materializes the result.
@@ -146,16 +142,6 @@ func (q *CQ) atomPolyBounded(a *Atom, opts Options) bool {
 	return err == nil && ok
 }
 
-// enumAutomata is the compilation plan: join, runtime equality compilation,
-// projection, polynomial-delay enumeration.
-func (q *CQ) enumAutomata(s string) (Iterator, error) {
-	joined, err := q.JoinAtoms()
-	if err != nil {
-		return nil, err
-	}
-	return q.EnumerateJoined(joined, s)
-}
-
 // JoinAtoms performs the document-independent part of the automata plan:
 // the join of all atom automata (Lemma 3.10), before equality selections
 // and projection. Callers evaluating one query over many documents compute
@@ -169,22 +155,18 @@ func (q *CQ) JoinAtoms() (*vsa.VSA, error) {
 // projection, and polynomial-delay enumeration. joined must come from
 // JoinAtoms on the same query.
 func (q *CQ) EnumerateJoined(joined *vsa.VSA, s string) (Iterator, error) {
-	var err error
-	if len(q.Equalities) > 0 {
-		joined, err = strequal.Apply(joined, s, q.Equalities)
-		if err != nil {
-			return nil, err
-		}
+	a, err := strequal.Apply(joined, s, q.Equalities)
+	if err != nil {
+		return nil, err
 	}
 	if q.Projection != nil {
-		joined, err = vsa.Project(joined, q.Projection)
-		if err != nil {
+		if a, err = vsa.Project(a, q.Projection); err != nil {
 			return nil, err
 		}
 	}
 	// The assembled automaton exists for this document only: skip the
 	// transition-table compilation that could never amortize.
-	return enum.PrepareOnce(joined, s)
+	return enum.PrepareOnce(a, s)
 }
 
 // evalCanonical is the canonical relational plan: materialize each atom
@@ -328,21 +310,16 @@ func (u *UCQ) Enumerate(s string, opts Options) (Iterator, error) {
 	// Automata: compile each disjunct with runtime equalities, then union.
 	autos := make([]*vsa.VSA, len(u.Disjuncts))
 	for i, q := range u.Disjuncts {
-		joined, err := vsa.JoinAll(atomAutos(q.Atoms)...)
+		joined, err := q.JoinAtoms()
 		if err != nil {
 			return nil, err
 		}
-		if len(q.Equalities) > 0 {
-			joined, err = strequal.Apply(joined, s, q.Equalities)
-			if err != nil {
-				return nil, err
-			}
-		}
-		proj, err := vsa.Project(joined, q.OutVars())
-		if err != nil {
+		if joined, err = strequal.Apply(joined, s, q.Equalities); err != nil {
 			return nil, err
 		}
-		autos[i] = proj
+		if autos[i], err = vsa.Project(joined, q.OutVars()); err != nil {
+			return nil, err
+		}
 	}
 	union := autos[0]
 	if len(autos) > 1 {

@@ -712,37 +712,6 @@ func growTail(s []int32, n int) []int32 {
 	return s[:need]
 }
 
-// letterTarget and groupByLetter remain the reference grouping used by the
-// parallel prefix splitter, where setup cost is irrelevant.
-type letterTarget struct {
-	letter int32
-	target int32
-}
-
-func groupByLetter(pairs []letterTarget) ([]int32, [][]int32) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].letter != pairs[j].letter {
-			return pairs[i].letter < pairs[j].letter
-		}
-		return pairs[i].target < pairs[j].target
-	})
-	var letters []int32
-	var byLetter [][]int32
-	for _, p := range pairs {
-		k := len(letters)
-		if k == 0 || letters[k-1] != p.letter {
-			letters = append(letters, p.letter)
-			byLetter = append(byLetter, nil)
-			k++
-		}
-		lst := byLetter[k-1]
-		if len(lst) == 0 || lst[len(lst)-1] != p.target {
-			byLetter[k-1] = append(lst, p.target)
-		}
-	}
-	return letters, byLetter
-}
-
 func internLetters(t *vsa.VSA, ct *vsa.ConfigTable) (letterOf []int32, configs []vsa.Config) {
 	n := t.NumStates()
 	type entry struct {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"spanjoin/internal/core"
-	"spanjoin/internal/enum"
 	"spanjoin/internal/prefilter"
 	"spanjoin/internal/span"
 	"spanjoin/internal/vsa"
@@ -52,44 +51,42 @@ type Query struct {
 	cq *core.CQ
 
 	// Document-independent compilation artifacts, memoized per Query (a
-	// built Query is immutable): the full automata-plan compilation
-	// (equality-free queries), its enum.Plan (closures + byte-class
-	// transition table, shared by every corpus worker and Eval call), and
-	// the bare atom join (the hoistable prefix of the plan when equalities
-	// must still compile per document).
-	compileOnce sync.Once
-	compiled    *vsa.VSA
-	compileErr  error
-	planOnce    sync.Once
-	plan        *enum.Plan
-	planErr     error
-	joinOnce    sync.Once
-	joined      *vsa.VSA
-	joinErr     error
+	// built Query is immutable): the query compiled into one spanner
+	// (equality-free queries; its enum.Plan is shared by every corpus
+	// worker and Count call), and the bare atom join (the hoistable prefix
+	// of the automata plan when equalities must still compile per
+	// document).
+	spOnce   sync.Once
+	sp       *Spanner
+	spErr    error
+	joinOnce sync.Once
+	joined   *vsa.VSA
+	joinErr  error
 }
 
-// compiledAutomaton memoizes CQ.Compile: joins plus pushed-in projection
-// (valid only for equality-free queries).
-func (q *Query) compiledAutomaton() (*vsa.VSA, error) {
-	q.compileOnce.Do(func() { q.compiled, q.compileErr = q.cq.Compile() })
-	return q.compiled, q.compileErr
+// sharesPlan is the rule deciding how q evaluates under o: equality-free
+// queries not forced onto the canonical strategy compile once into a
+// single automaton (Theorem 3.11, Query.spanner) whose plan every document
+// shares; the rest evaluate document by document (Query.docEnumerate) —
+// equality automata exist only per input string (Theorem 5.4).
+func (q *Query) sharesPlan(o core.Options) bool {
+	return len(q.cq.Equalities) == 0 && o.Strategy != core.Canonical
 }
 
-// compiledPlan memoizes the enum.Plan of the compiled automaton, so every
-// evaluation of an equality-free query — per document or corpus-wide —
-// shares one trimmed automaton, closure set and transition table. built
-// reports whether this call ran the compilation (see Spanner.compiledPlan).
-func (q *Query) compiledPlan() (p *enum.Plan, built bool, err error) {
-	q.planOnce.Do(func() {
-		built = true
-		auto, err := q.compiledAutomaton()
+// spanner memoizes CQ.Compile — joins plus pushed-in projection, valid
+// only when sharesPlan — as a spanner carrying the query's requirement,
+// so the compiled plan and prefilter are memoized and driven like any
+// spanner's.
+func (q *Query) spanner() (*Spanner, error) {
+	q.spOnce.Do(func() {
+		auto, err := q.cq.Compile()
 		if err != nil {
-			q.planErr = err
+			q.spErr = err
 			return
 		}
-		q.plan, q.planErr = enum.NewPlan(auto)
+		q.sp = &Spanner{auto: auto, req: q.requirement()}
 	})
-	return q.plan, built, q.planErr
+	return q.sp, q.spErr
 }
 
 // joinedAtoms memoizes CQ.JoinAtoms: the document-independent join prefix
@@ -97,6 +94,22 @@ func (q *Query) compiledPlan() (p *enum.Plan, built bool, err error) {
 func (q *Query) joinedAtoms() (*vsa.VSA, error) {
 	q.joinOnce.Do(func() { q.joined, q.joinErr = q.cq.JoinAtoms() })
 	return q.joined, q.joinErr
+}
+
+// docEnumerate resolves q's per-document evaluation under o once: the
+// strategy is planned up front, and the automata plan reuses the memoized
+// atom join, leaving only the document-dependent tail — equality
+// compilation, projection, enumeration (Thm 5.4) — per document. It is
+// the same automaton CQ.Enumerate would assemble, so the order is too.
+func (q *Query) docEnumerate(o core.Options) (func(doc string) (core.Iterator, error), error) {
+	if o.Strategy = q.cq.Plan(o); o.Strategy == core.Canonical {
+		return func(doc string) (core.Iterator, error) { return q.cq.Enumerate(doc, o) }, nil
+	}
+	joined, err := q.joinedAtoms()
+	if err != nil {
+		return nil, err
+	}
+	return func(doc string) (core.Iterator, error) { return q.cq.EnumerateJoined(joined, doc) }, nil
 }
 
 // QueryBuilder assembles a Query; errors accumulate and surface at Build.
@@ -206,57 +219,60 @@ func (q *Query) IsAcyclic() bool { return q.cq.IsAcyclic() }
 // IsGammaAcyclic reports gamma-acyclicity of the query hypergraph.
 func (q *Query) IsGammaAcyclic() bool { return q.cq.IsGammaAcyclic() }
 
-// Evaluate materializes all result tuples on doc.
+// Evaluate materializes all result tuples on doc. As for Spanner.Eval,
+// WithTimeout bounds the evaluation (a fired timeout is
+// context.DeadlineExceeded, never a partial result) and WithLimit caps
+// the number of materialized results.
 func (q *Query) Evaluate(doc string, opts ...Option) ([]Match, error) {
-	ms, err := q.Iterate(doc, opts...)
+	o := buildOptions(opts)
+	ctx, cancel := withTimeout(context.Background(), o)
+	defer cancel()
+	ms, err := q.iterate(ctx, doc, o)
 	if err != nil {
 		return nil, err
 	}
-	var out []Match
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, m)
-	}
+	out, _, err := collect(ms, o.Limit, true)
+	return out, err
 }
 
 // Iterate evaluates the query and returns a tuple iterator. Under
 // StrategyAutomata (and for k-bounded queries under StrategyAuto) the
 // iterator has polynomial delay (Theorem 3.11 / Corollary 5.5).
 func (q *Query) Iterate(doc string, opts ...Option) (*Matches, error) {
-	o := buildOptions(opts)
-	it, err := q.cq.Enumerate(doc, o)
-	if err != nil {
-		return nil, err
-	}
-	return &Matches{it: it, vars: it.Vars(), doc: doc}, nil
+	return q.IterateCtx(context.Background(), doc, opts...)
 }
 
 // IterateCtx is Iterate with cancellation: the returned iterator checks
 // ctx periodically and stops once it is done. After Next returns ok=false,
-// a cancelled iteration is indistinguishable from exhaustion here; use
-// Corpus.EvalQuery when the distinction matters (its stream reports Err).
+// Matches.Err distinguishes cancellation (the context's error) from
+// exhaustion (nil).
 func (q *Query) IterateCtx(ctx context.Context, doc string, opts ...Option) (*Matches, error) {
-	o := buildOptions(opts)
-	it, err := q.cq.Enumerate(doc, o)
+	return q.iterate(ctx, doc, buildOptions(opts))
+}
+
+// iterate is the one opener of single-document query evaluation. A
+// context already done fails fast, before a canonical plan materializes
+// anything.
+func (q *Query) iterate(ctx context.Context, doc string, o core.Options) (*Matches, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	enumerate, err := q.docEnumerate(o)
 	if err != nil {
 		return nil, err
 	}
-	cit := core.WithContext(ctx, it)
-	return &Matches{it: cit, vars: cit.Vars(), doc: doc}, nil
+	it, err := enumerate(doc)
+	if err != nil {
+		return nil, err
+	}
+	return newMatches(ctx, it, it.Vars(), doc), nil
 }
 
 // Exists decides Boolean satisfaction: whether the query has at least one
-// result on doc.
+// result on doc. It is Evaluate with limit 1, WithTimeout included.
 func (q *Query) Exists(doc string, opts ...Option) (bool, error) {
-	ms, err := q.Iterate(doc, opts...)
-	if err != nil {
-		return false, err
-	}
-	_, ok := ms.Next()
-	return ok, nil
+	ms, err := q.Evaluate(doc, append(opts[:len(opts):len(opts)], WithLimit(1))...)
+	return len(ms) > 0, err
 }
 
 func buildOptions(opts []Option) core.Options {
@@ -293,32 +309,37 @@ func (u *UnionQuery) Vars() []string { return append([]string(nil), u.ucq.OutVar
 func (u *UnionQuery) RequiredLiterals() []string { return u.ucq.Requirement().Literals() }
 
 // Evaluate materializes all result tuples on doc, duplicate free across
-// disjuncts.
+// disjuncts. WithTimeout and WithLimit apply as for Query.Evaluate.
 func (u *UnionQuery) Evaluate(doc string, opts ...Option) ([]Match, error) {
-	ms, err := u.Iterate(doc, opts...)
+	o := buildOptions(opts)
+	ctx, cancel := withTimeout(context.Background(), o)
+	defer cancel()
+	ms, err := u.iterate(ctx, doc, o)
 	if err != nil {
 		return nil, err
 	}
-	var out []Match
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, m)
-	}
+	out, _, err := collect(ms, o.Limit, true)
+	return out, err
 }
 
 // Iterate evaluates the UCQ. Under the automata strategy the entire union
 // compiles into one vset-automaton whose enumeration is duplicate free by
 // construction (Lemma 3.9 + Theorem 3.3).
 func (u *UnionQuery) Iterate(doc string, opts ...Option) (*Matches, error) {
-	o := buildOptions(opts)
+	return u.iterate(context.Background(), doc, buildOptions(opts))
+}
+
+// iterate is the one opener of single-document UCQ evaluation; like
+// Query.iterate it fails fast on a context already done.
+func (u *UnionQuery) iterate(ctx context.Context, doc string, o core.Options) (*Matches, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	it, err := u.ucq.Enumerate(doc, o)
 	if err != nil {
 		return nil, err
 	}
-	return &Matches{it: it, vars: it.Vars(), doc: doc}, nil
+	return newMatches(ctx, it, it.Vars(), doc), nil
 }
 
 // PlannedStrategy reports which strategy Evaluate would use for the given

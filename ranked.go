@@ -96,33 +96,27 @@ type Ranked struct {
 // graph build plus one path-count DP — independent of how many matches
 // there are; the spanner's compiled plan is memoized as usual.
 func (s *Spanner) Ranked(doc string) (*Ranked, error) {
-	return s.rankedOpts(doc, core.Options{})
+	return s.rankedCtx(context.Background(), doc)
 }
 
-// rankedOpts is Ranked with the resilience knobs applied: a Timeout
-// interrupts the layered-graph build (its cost is document-length
-// dependent; the DP that follows is not) and surfaces as the context's
-// DeadlineExceeded instead of an empty view.
+// rankedOpts is Ranked with WithTimeout applied: the timeout interrupts
+// the layered-graph build (its cost is document-length dependent; the DP
+// that follows is not) and surfaces as the context's DeadlineExceeded
+// instead of an empty view.
 func (s *Spanner) rankedOpts(doc string, o core.Options) (*Ranked, error) {
-	if s.prefilterEmpty(doc) {
-		return &Ranked{vars: s.auto.Vars, doc: doc}, nil
-	}
-	p, _, err := s.compiledPlan()
+	ctx, cancel := withTimeout(context.Background(), o)
+	defer cancel()
+	return s.rankedCtx(ctx, doc)
+}
+
+// rankedCtx is the ranked view of the single-document opener; ctx bounds
+// the graph build only.
+func (s *Spanner) rankedCtx(ctx context.Context, doc string) (*Ranked, error) {
+	e, err := s.open(ctx, doc, nil)
 	if err != nil {
 		return nil, err
 	}
-	if o.Timeout <= 0 {
-		return &Ranked{e: p.Prepare(doc), vars: p.Vars(), doc: doc}, nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), o.Timeout)
-	defer cancel()
-	e := p.NewEnumerator()
-	e.SetInterrupt(func() bool { return ctx.Err() != nil })
-	e.Reset(doc)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return &Ranked{e: e, vars: p.Vars(), doc: doc}, nil
+	return &Ranked{e: e, vars: s.auto.Vars, doc: doc}, nil
 }
 
 // Count returns the exact number of matches in O(1) after the view's
@@ -220,18 +214,20 @@ const skipStepThreshold = 16
 
 // Skip advances past the next n matches without materializing them,
 // returning how many were actually skipped (less than n only when the
-// result set ends first). On enumerator-backed streams (Spanner.Iterate,
-// Stream.Iterate) a deep skip is one ranked DAG descent — cost
-// independent of n; other iterators (query plans, context wrappers) fall
-// back to n Next calls. On result sets larger than 2^64, skips
-// cumulating past rank 2^64-1 are refused (Skip returns 0 and the cursor
-// stays put): the stream cursor addresses uint64 ranks — use
-// Ranked.ResultAtBig with explicit arbitrary-precision indices for exact
-// access beyond that.
+// result set ends first, or the stream's context is done). On
+// enumerator-backed streams (Spanner.Iterate and IterateCtx,
+// Stream.Iterate, automata-plan queries) a deep skip is one ranked DAG
+// descent — cost independent of n; other iterators (canonical query
+// plans, Difference) fall back to n steps, polling the context like Next.
+// On result sets larger than 2^64, skips cumulating past rank 2^64-1 are
+// refused (Skip returns 0 and the cursor stays put): the stream cursor
+// addresses uint64 ranks — use Ranked.ResultAtBig with explicit
+// arbitrary-precision indices for exact access beyond that.
 func (ms *Matches) Skip(n uint64) uint64 {
 	if n == 0 {
 		return 0
 	}
+	ms.poll()
 	if e, ok := ms.it.(*enum.Enumerator); ok && (n > skipStepThreshold || e.RankBuilt()) {
 		r := e.Rank()
 		target, wrapped := ms.consumed+n, ms.consumed+n < ms.consumed
@@ -258,11 +254,10 @@ func (ms *Matches) Skip(n uint64) uint64 {
 	}
 	var k uint64
 	for k < n {
-		if _, ok := ms.it.Next(); !ok {
+		if _, ok := ms.step(); !ok {
 			break
 		}
 		k++
-		ms.consumed++
 	}
 	return k
 }

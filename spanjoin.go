@@ -121,12 +121,12 @@ type Spanner struct {
 }
 
 // compiledPlan memoizes enum.NewPlan over the spanner's automaton. Every
-// evaluation path (Iterate, Stream, Ranked, the corpus fan-out)
-// shares it, so trimming, the functionality check, closure computation and
-// the transition-table build happen once per Spanner however the spanner
-// is driven. built reports whether this call ran the compilation — the
-// corpus layer records the plan_build stage only then, so cached queries
-// never report a phantom build.
+// evaluation path shares it — the single-document opener (open) and the
+// corpus sweeps (Corpus.spanner) — so trimming, the functionality check,
+// closure computation and the transition-table build happen once per
+// Spanner however the spanner is driven. built reports whether this call
+// ran the compilation — the corpus layer records the plan_build stage
+// only then, so cached queries never report a phantom build.
 func (s *Spanner) compiledPlan() (p *enum.Plan, built bool, err error) {
 	s.planOnce.Do(func() {
 		s.plan, s.planErr = enum.NewPlan(s.auto)
@@ -175,32 +175,44 @@ func (s *Spanner) Stats() (states, transitions int) {
 // reported as context.DeadlineExceeded, never as an empty result.
 func (s *Spanner) Eval(doc string, opts ...Option) ([]Match, error) {
 	o := buildOptions(opts)
-	var it *Matches
-	var err error
-	if o.Timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), o.Timeout)
-		defer cancel()
-		it, err = s.IterateCtx(ctx, doc)
-	} else {
-		it, err = s.Iterate(doc)
-	}
+	ctx, cancel := withTimeout(context.Background(), o)
+	defer cancel()
+	ms, err := s.IterateCtx(ctx, doc)
 	if err != nil {
 		return nil, err
 	}
-	var out []Match
-	for {
-		m, ok := it.Next()
+	out, _, err := collect(ms, o.Limit, true)
+	return out, err
+}
+
+// withTimeout derives the context that bounds one evaluation: ctx under
+// o.Timeout, or ctx itself when no timeout is set.
+func withTimeout(ctx context.Context, o core.Options) (context.Context, context.CancelFunc) {
+	if o.Timeout <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, o.Timeout)
+}
+
+// collect drains ms — the one drain loop of every single-document entry
+// point that materializes or counts internally. It stops after limit
+// matches (0: no limit) and keeps them only when keep is set; n is how
+// many it took. A context that fired before or during the drain surfaces
+// as its error, never as a partial result.
+func collect(ms *Matches, limit uint64, keep bool) (out []Match, n uint64, err error) {
+	for ; limit == 0 || n < limit; n++ {
+		m, ok := ms.Next()
 		if !ok {
-			if err := it.Err(); err != nil {
-				return nil, err
-			}
-			return out, nil
+			break
 		}
-		out = append(out, m)
-		if o.Limit > 0 && uint64(len(out)) >= o.Limit {
-			return out, nil
+		if keep {
+			out = append(out, m)
 		}
 	}
+	if err := ms.Err(); err != nil {
+		return nil, 0, err
+	}
+	return out, n, nil
 }
 
 // prefilterEmpty reports whether the required-literal prefilter proves
@@ -216,42 +228,53 @@ func (s *Spanner) prefilterEmpty(doc string) bool {
 	return err == nil
 }
 
-// Iterate enumerates matches with polynomial delay (Theorem 3.3): the time
-// to the first match and between consecutive matches is O(n²·|doc|) for an
-// n-state spanner, independent of the result count.
-func (s *Spanner) Iterate(doc string) (*Matches, error) {
-	if s.prefilterEmpty(doc) {
-		return &Matches{it: emptyIter{}, vars: s.auto.Vars, doc: doc}, nil
-	}
-	p, _, err := s.compiledPlan()
-	if err != nil {
-		return nil, err
-	}
-	e := p.Prepare(doc)
-	return &Matches{it: e, vars: e.Vars(), doc: doc}, nil
-}
-
-// IterateCtx is Iterate with cancellation: the context is polled both
-// inside the graph build (amortized, so a pathological document cannot
-// wedge the caller before the first match) and between matches. After
-// Next returns ok=false, Matches.Err distinguishes cancellation from
-// exhaustion.
-func (s *Spanner) IterateCtx(ctx context.Context, doc string) (*Matches, error) {
+// open is the one opener of single-document spanner evaluation: every
+// iterator, stream and ranked view gets its enumerator here. It returns
+// nil when the prefilter proves doc empty; otherwise it Resets reuse (a
+// Stream's enumerator) or a fresh enumerator of the memoized plan onto
+// doc. The build is interruptible only when ctx can fire, and a ctx that
+// is done before or during the build is returned as the error.
+func (s *Spanner) open(ctx context.Context, doc string, reuse *enum.Enumerator) (*enum.Enumerator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if s.prefilterEmpty(doc) {
-		return &Matches{it: emptyIter{}, vars: s.auto.Vars, doc: doc}, nil
+		return nil, nil
 	}
 	p, _, err := s.compiledPlan()
 	if err != nil {
 		return nil, err
 	}
-	e := p.NewEnumerator()
-	e.SetInterrupt(func() bool { return ctx.Err() != nil })
+	e := reuse
+	if e == nil {
+		e = p.NewEnumerator()
+	}
+	if ctx.Done() != nil {
+		e.SetInterrupt(func() bool { return ctx.Err() != nil })
+	} else {
+		e.SetInterrupt(nil)
+	}
 	e.Reset(doc)
-	cit := core.WithContext(ctx, e)
-	return &Matches{it: cit, vars: e.Vars(), doc: doc}, nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Iterate enumerates matches with polynomial delay (Theorem 3.3): the time
+// to the first match and between consecutive matches is O(n²·|doc|) for an
+// n-state spanner, independent of the result count.
+func (s *Spanner) Iterate(doc string) (*Matches, error) {
+	return s.IterateCtx(context.Background(), doc)
+}
+
+// IterateCtx is Iterate with cancellation: the context is polled both
+// inside the graph build (amortized, so a pathological document cannot
+// wedge the caller before the first match) and between matches. A context
+// done before the graph is built is returned as the error; after Next
+// returns ok=false, Matches.Err distinguishes cancellation from exhaustion.
+func (s *Spanner) IterateCtx(ctx context.Context, doc string) (*Matches, error) {
+	return (&Stream{sp: s}).iterate(ctx, doc)
 }
 
 // RequiredLiteral exposes the most selective prefilter factor derived at
@@ -285,95 +308,63 @@ func (s *Spanner) NewStream() *Stream { return &Stream{sp: s} }
 // Eval materializes all matches of the stream's spanner on doc, like
 // Spanner.Eval but amortizing the per-document setup across the stream.
 func (st *Stream) Eval(doc string) ([]Match, error) {
-	ms, err := st.Iterate(doc)
-	if err != nil {
-		return nil, err
-	}
-	var out []Match
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, m)
-	}
+	return st.EvalCtx(context.Background(), doc)
 }
 
-// EvalCtx is Eval with cancellation: the drain checks ctx periodically
-// (core.CtxIterator) and returns its error once cancelled, so a
-// pathological document cannot wedge the stream's caller.
+// EvalCtx is Eval with cancellation: the graph build and the drain poll
+// ctx (amortized) and return its error once cancelled, so a pathological
+// document cannot wedge the stream's caller.
 func (st *Stream) EvalCtx(ctx context.Context, doc string) ([]Match, error) {
-	ms, err := st.Iterate(doc)
+	ms, err := st.iterate(ctx, doc)
 	if err != nil {
 		return nil, err
 	}
-	cit := core.WithContext(ctx, ms.it)
-	ms.it = cit
-	var out []Match
-	for {
-		m, ok := ms.Next()
-		if !ok {
-			if err := cit.Err(); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		out = append(out, m)
-	}
+	out, _, err := collect(ms, 0, true)
+	return out, err
 }
 
 // Iterate enumerates matches on doc with polynomial delay. The returned
 // Matches borrows the stream's enumerator: drain (or abandon) it before the
 // next Iterate or Eval call on the same stream.
 func (st *Stream) Iterate(doc string) (*Matches, error) {
-	sp := st.sp
-	// The prefilter skips even the graph rebuild; the plan (and with it
-	// the functionality check) is memoized on the spanner, so this costs
-	// one sync.Once read per document.
-	if sp.prefilterEmpty(doc) {
-		return &Matches{it: emptyIter{}, vars: sp.auto.Vars, doc: doc}, nil
+	return st.iterate(context.Background(), doc)
+}
+
+// iterate opens doc on the stream's enumerator, creating it on first use
+// (a Spanner's IterateCtx is a one-document stream). A prefilter-empty
+// document streams nothing without touching the enumerator.
+func (st *Stream) iterate(ctx context.Context, doc string) (*Matches, error) {
+	e, err := st.sp.open(ctx, doc, st.e)
+	if err != nil {
+		return nil, err
 	}
-	if st.e == nil {
-		p, _, err := sp.compiledPlan()
-		if err != nil {
-			return nil, err
-		}
-		st.e = p.NewEnumerator()
+	if e == nil {
+		return newMatches(ctx, emptyIter{}, st.sp.auto.Vars, doc), nil
 	}
-	st.e.Reset(doc)
-	return &Matches{it: st.e, vars: st.e.Vars(), doc: doc}, nil
+	st.e = e
+	return newMatches(ctx, e, st.sp.auto.Vars, doc), nil
 }
 
 // EvalAll evaluates the spanner on every document through one reused
 // enumerator, returning per-document match sets indexed like docs. The
 // resilience options apply across the whole call: WithTimeout bounds
 // total wall-clock over all documents (the ctxthread contract for batch
-// entry points) and WithLimit caps each document's match set.
+// entry points) and WithLimit caps each document's match set — the drain
+// stops there rather than materializing the rest.
 func (s *Spanner) EvalAll(docs []string, opts ...Option) ([][]Match, error) {
 	o := buildOptions(opts)
-	ctx := context.Background()
-	if o.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := withTimeout(context.Background(), o)
+	defer cancel()
 	st := s.NewStream()
 	out := make([][]Match, len(docs))
 	for i, doc := range docs {
-		var ms []Match
-		var err error
-		if o.Timeout > 0 {
-			ms, err = st.EvalCtx(ctx, doc)
-		} else {
-			ms, err = st.Eval(doc)
-		}
+		ms, err := st.iterate(ctx, doc)
 		if err != nil {
 			return nil, err
 		}
-		if o.Limit > 0 && uint64(len(ms)) > o.Limit {
-			ms = ms[:o.Limit:o.Limit]
+		if out[i], _, err = collect(ms, o.Limit, true); err != nil {
+			return nil, err
 		}
-		out[i] = ms
 	}
 	return out, nil
 }
@@ -388,18 +379,54 @@ type Matches struct {
 	it   core.Iterator
 	vars span.VarList
 	doc  string
+	// ctx is the context of a stream opened with one that can fire (nil
+	// otherwise); it is polled on the first Next and every 64 matches
+	// after, and err keeps the error it reported.
+	ctx context.Context
+	err error
 	// consumed is the index of the next match Next will return — the
 	// absolute position Skip seeks from.
 	consumed uint64
 }
 
+// newMatches streams it over doc, bounded by ctx when ctx can fire.
+func newMatches(ctx context.Context, it core.Iterator, vars span.VarList, doc string) *Matches {
+	ms := &Matches{it: it, vars: vars, doc: doc}
+	if ctx.Done() != nil {
+		ms.ctx = ctx
+	}
+	return ms
+}
+
+// poll ends the stream for good once its context is done.
+func (ms *Matches) poll() {
+	if ms.ctx == nil {
+		return
+	}
+	if err := ms.ctx.Err(); err != nil {
+		ms.err, ms.ctx, ms.it = err, nil, emptyIter{}
+	}
+}
+
+// step advances the underlying iterator by one tuple, polling the
+// context every 64 tuples.
+func (ms *Matches) step() (span.Tuple, bool) {
+	if ms.consumed&63 == 0 {
+		ms.poll()
+	}
+	t, ok := ms.it.Next()
+	if ok {
+		ms.consumed++
+	}
+	return t, ok
+}
+
 // Next returns the next match; ok is false when exhausted.
 func (ms *Matches) Next() (Match, bool) {
-	t, ok := ms.it.Next()
+	t, ok := ms.step()
 	if !ok {
 		return Match{}, false
 	}
-	ms.consumed++
 	return Match{vars: ms.vars, tuple: t, doc: ms.doc}, true
 }
 
@@ -407,15 +434,10 @@ func (ms *Matches) Next() (Match, bool) {
 func (ms *Matches) Vars() []string { return append([]string(nil), ms.vars...) }
 
 // Err distinguishes cancellation from exhaustion after Next has returned
-// ok=false: iterators opened with a context (Spanner.IterateCtx,
+// ok=false: streams opened with a context (Spanner.IterateCtx,
 // Query.IterateCtx) report the context's error once it fires; plain
-// Iterate matches always report nil.
-func (ms *Matches) Err() error {
-	if e, ok := ms.it.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
-}
+// Iterate streams always report nil.
+func (ms *Matches) Err() error { return ms.err }
 
 // Join composes two spanners with the natural join ⋈ (Lemma 3.10): results
 // agree on shared variables' spans. The construction is O(v·n⁴); joining
